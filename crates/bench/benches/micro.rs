@@ -127,6 +127,13 @@ fn bench_wal(c: &mut Criterion) {
         }
         b.iter(|| wal.scan_from(Lsn::NULL).unwrap().len())
     });
+    // The checksum under every append, scan and restart pass, at a log
+    // record's size and at a size where the word loop dominates.
+    for (name, len) in [("crc32_256B", 256usize), ("crc32_64KB", 64 << 10)] {
+        let buf: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| b.iter(|| lr_common::crc32(std::hint::black_box(&buf))));
+    }
     g.finish();
 }
 

@@ -234,7 +234,7 @@ impl Encoder {
 
     /// Finish encoding, yielding the frame bytes.
     pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf.into()
     }
 }
 

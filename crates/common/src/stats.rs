@@ -174,6 +174,14 @@ pub struct RecoveryBreakdown {
     pub index_pages_fetched: u64,
     /// Log pages read across all passes.
     pub log_pages_read: u64,
+    /// Log bytes the restart pass actually length- and CRC-validated to
+    /// find the usable end of the log and materialize the window: a real
+    /// count, seed-exact, and bounded by the window's span when the
+    /// checkpoint anchor is current (the `log_pages_read` charges above
+    /// are the modeled device cost of the same window).
+    pub restart_scan_bytes: u64,
+    /// Frames that pass validated and decoded.
+    pub restart_scan_records: u64,
     /// Redo log records examined.
     pub redo_records_seen: u64,
     /// Records skipped because the page had no DPT entry.

@@ -92,6 +92,9 @@ pub struct Engine {
     /// service when `cfg.metrics_sample_ms > 0` (bounded; oldest
     /// samples are evicted).
     pub(crate) metrics_history: Mutex<Vec<MetricsSnapshot>>,
+    /// Log bytes validated by this engine's restart passes (see
+    /// `RecoveryBreakdown::restart_scan_bytes`), summed over recoveries.
+    pub(crate) restart_scan_bytes: AtomicU64,
 }
 
 /// Aggregate engine observability: lifecycle counters, maintenance-service
@@ -273,6 +276,7 @@ impl Engine {
             bytes_at_last_ckpt: AtomicU64::new(0),
             trace,
             metrics_history: Mutex::new(Vec::new()),
+            restart_scan_bytes: AtomicU64::new(0),
         })
     }
 
@@ -308,6 +312,7 @@ impl Engine {
             bytes_at_last_ckpt: AtomicU64::new(0),
             trace,
             metrics_history: Mutex::new(Vec::new()),
+            restart_scan_bytes: AtomicU64::new(0),
         })
     }
 
@@ -640,6 +645,10 @@ impl Engine {
         m.push_counter("engine_forced_epoch_advances", s.forced_epoch_advances);
         m.push_counter("engine_frames_retired", s.frames_retired);
         m.push_counter("engine_frames_recycled", s.frames_recycled);
+        m.push_counter(
+            "engine_restart_scan_bytes",
+            self.restart_scan_bytes.load(Ordering::Relaxed),
+        );
         m.push_hist("engine_read_restart_hist", s.read_restart_hist);
         m.push_hist("engine_write_restart_hist", s.write_restart_hist);
         m.push_counters("pool", &pool_stats.counters());
@@ -749,9 +758,10 @@ impl Engine {
     }
 
     /// Crash with a *torn log tail*: the last `torn_bytes` of the log are
-    /// physically lost (a crash mid-sector-write). Recovery will re-derive
-    /// the usable end of the log by CRC scan; transactions whose commit
-    /// record fell in the torn region become losers.
+    /// physically lost (a crash mid-sector-write). Recovery re-derives the
+    /// usable end of the log in its restart pass (`Wal::restart`, a CRC
+    /// scan from the checkpoint anchor); transactions whose commit record
+    /// fell in the torn region become losers.
     pub fn crash_torn(&self, torn_bytes: u64) -> CrashSnapshot {
         let snap = self.crash();
         self.wal.lock().tear(torn_bytes);
@@ -813,6 +823,7 @@ impl Engine {
             bytes_at_last_ckpt: AtomicU64::new(self.bytes_at_last_ckpt.load(Ordering::Acquire)),
             trace,
             metrics_history: Mutex::new(Vec::new()),
+            restart_scan_bytes: AtomicU64::new(0),
         })
     }
 

@@ -22,6 +22,7 @@ use lr_tc::{analyze_txns, undo_losers, undo_losers_parallel, UndoStats};
 use lr_wal::LogPayload;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::atomic::Ordering;
 
 /// Records to look ahead in log-driven prefetch (SQL2).
 const LOG_DRIVEN_LOOKAHEAD_RECORDS: usize = 128;
@@ -214,6 +215,11 @@ impl fmt::Display for RecoveryReport {
         )?;
         writeln!(
             f,
+            "  restart scan: {} bytes in {} frames validated (real, not simulated)",
+            b.restart_scan_bytes, b.restart_scan_records
+        )?;
+        writeln!(
+            f,
             "  redo test: {} skipped (no DPT entry) + {} (rLSN) + {} (pLSN); {} re-applied; {} tail",
             b.skipped_no_dpt_entry, b.skipped_rlsn, b.skipped_plsn, b.ops_reapplied, b.tail_records
         )?;
@@ -323,28 +329,29 @@ impl Engine {
         let mut bk = RecoveryBreakdown::default();
         let model = self.dc.pool().disk().io_model();
 
-        // ---- find the end of the log ----
-        // A real restart must first locate the last whole record: scan the
-        // log validating frame CRCs and drop any torn tail (crash mid-write).
-        {
+        // ---- restart: the end of the log and the redo window ----
+        // One pass from the checkpoint anchor: every frame's length and
+        // CRC checked and decoded once, the log cut at the first torn one
+        // (crash mid-write), and the window, its RSSP note and the
+        // checkpoint's active transactions handed back. What it costs is a
+        // function of the window, not of the log.
+        let (scan, log_pages) = {
             let mut wal = self.wal.lock();
-            wal.recover_torn_tail();
-        }
-
-        // ---- window discovery ----
-        let (scan_start, rssp_lsn, window, log_pages, ckpt_active) = {
-            let wal = self.wal.lock();
-            let (s, r, w) = lr_dc::find_recovery_window(&wal)?;
-            let lp = wal.log_pages_between(s, wal.end_lsn());
-            let active = match wal.end_checkpoint_for(s)? {
-                Some(rec) => match rec.payload {
-                    LogPayload::EndCheckpoint { active_txns, .. } => active_txns,
-                    _ => Vec::new(),
-                },
-                None => Vec::new(),
-            };
-            (s, r, w, lp, active)
+            let scan = wal.restart()?;
+            let log_pages = wal.log_pages_between(scan.scan_start, wal.end_lsn());
+            (scan, log_pages)
         };
+        let lr_wal::RestartScan {
+            rssp_lsn,
+            window,
+            ckpt_active,
+            scanned_bytes,
+            scanned_records,
+            ..
+        } = scan;
+        bk.restart_scan_bytes = scanned_bytes;
+        bk.restart_scan_records = scanned_records;
+        self.restart_scan_bytes.fetch_add(scanned_bytes, Ordering::Relaxed);
         let window_data_ops = window.iter().filter(|r| r.payload.is_data_op()).count() as u64;
         bk.log_pages_read += log_pages;
 
@@ -541,7 +548,6 @@ impl Engine {
             // The dispatcher's log re-scan rides the sequential-read model,
             // like the serial pass's window re-read.
             bk.partition_us += log_pages * model.log_page_read_us;
-            let _ = t_redo;
         }
         let ps_after = self.dc.pool().stats();
         bk.data_pages_fetched = ps_after.data_page_misses - ps_before.data_page_misses;
@@ -610,14 +616,13 @@ impl Engine {
         let pool = self.dc.pool().stats();
         let io = self.dc.pool().disk().stats();
         self.dc.pool().disk_mut().set_timed(false);
-        self.crashed.store(false, std::sync::atomic::Ordering::Release);
+        self.crashed.store(false, Ordering::Release);
         // Post-recovery checkpoint: flushes redone state so the Δ/BW stream
         // restarts from a clean slate (untimed; recovery proper has ended).
         drop(dp);
         drop(_lc);
         self.checkpoint()?;
 
-        let _ = scan_start;
         Ok(RecoveryReport {
             method,
             breakdown: bk,
@@ -698,7 +703,9 @@ mod tests {
         e.crash();
         let report = e.recover(RecoveryMethod::Log1).unwrap();
         let rendered = report.to_string();
-        for needle in ["recovery with Log1", "analysis", "redo test", "stalls", "DPT"] {
+        for needle in
+            ["recovery with Log1", "analysis", "restart scan", "redo test", "stalls", "DPT"]
+        {
             assert!(rendered.contains(needle), "missing '{needle}' in:\n{rendered}");
         }
     }
@@ -738,6 +745,64 @@ mod tests {
             e.read(crate::DEFAULT_TABLE, 3).unwrap().unwrap(),
             crate::config::deterministic_value(3, 0, 100)
         );
+    }
+
+    #[test]
+    fn crash_before_anchor_publication_still_starts_at_newest_checkpoint() {
+        // The eCkpt record is forced, the crash comes before its bCkpt is
+        // published as the checkpoint anchor: the anchor names the
+        // previous checkpoint, and restart must find the newer completed
+        // one in its pass from there.
+        let e = Engine::build(EngineConfig {
+            initial_rows: 500,
+            pool_pages: 32,
+            io_model: lr_common::IoModel::zero(),
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let commit = |key: u64, value: &[u8]| {
+            let t = e.begin().unwrap();
+            e.update(t, key, value.to_vec()).unwrap();
+            e.commit(t).unwrap();
+        };
+        commit(1, b"before-b1");
+        let b1 = e.checkpoint().unwrap();
+        commit(2, b"between");
+        // Engine::checkpoint by hand, minus the publication that
+        // TransactionComponent::end_checkpoint does under the log latch.
+        let b2 = e.tc().begin_checkpoint(None);
+        e.dc().drain_in_flight_ops();
+        e.dc().eosl(e.tc().stable_lsn());
+        e.dc().rssp(b2).unwrap();
+        {
+            let active_txns = e.tc().txns().active_snapshot();
+            let wal = e.wal();
+            let mut wal = wal.lock();
+            wal.append(&lr_wal::LogPayload::EndCheckpoint { bckpt_lsn: b2, active_txns });
+            wal.make_all_stable();
+            assert_eq!(wal.checkpoint_anchor(), b1, "not published");
+        }
+        commit(3, b"tail");
+        e.crash();
+        let (from_b1, from_b2) = {
+            let wal = e.wal();
+            let wal = wal.lock();
+            (wal.records_from(b1).remaining() as u64, wal.records_from(b2).remaining() as u64)
+        };
+        assert!(from_b2 < from_b1);
+
+        let report = e.recover(RecoveryMethod::Log1).unwrap();
+        assert_eq!(report.window_records, from_b2, "redo window starts at the newest bCkpt");
+        assert_eq!(report.breakdown.restart_scan_records, from_b1, "read from the lagging anchor");
+        assert_eq!(
+            e.metrics().counter("engine_restart_scan_bytes"),
+            Some(report.breakdown.restart_scan_bytes),
+            "the count is exported"
+        );
+        assert!(e.wal().lock().checkpoint_anchor() > b2, "post-recovery checkpoint published");
+        for (key, value) in [(1, &b"before-b1"[..]), (2, b"between"), (3, b"tail")] {
+            assert_eq!(e.read(crate::DEFAULT_TABLE, key).unwrap().unwrap(), value);
+        }
     }
 
     #[test]

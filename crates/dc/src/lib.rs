@@ -54,8 +54,8 @@ pub use dpt::{Dpt, DptEntry, DptScreen};
 pub use hash::HashDc;
 pub use logdc::LogDc;
 pub use recovery::{
-    dc_recover, find_recovery_window, replay_smo_screened, smo_barrier_physiological, smo_redo,
-    DcRecoveryOutcome, SmoBarrierOutcome,
+    dc_recover, replay_smo_screened, smo_barrier_physiological, smo_redo, DcRecoveryOutcome,
+    SmoBarrierOutcome,
 };
 pub use remote::{remote_loopback, LoopbackTransport, RemoteDc, Transport};
 pub use server::DcServer;

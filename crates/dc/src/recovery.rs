@@ -11,7 +11,9 @@
 //!
 //! The caller supplies the decoded scan window (records from the redo scan
 //! start point) and the `rssp_lsn` recovered from the DC's durable RSSP
-//! note; log-page I/O for the scan is charged by the recovery driver.
+//! note — both come out of the log's one restart pass
+//! ([`lr_wal::Wal::restart`]); log-page I/O for the scan is charged by the
+//! recovery driver.
 
 use crate::api::DcApi;
 use crate::builders::{build_dpt_logical, DeltaDptMode};
@@ -162,33 +164,6 @@ pub fn dc_recover(
     })
 }
 
-/// Locate the recovery window on the shared log: returns
-/// `(scan_start, rssp_lsn, window records)`.
-///
-/// `scan_start` is the bCkpt of the last *completed* checkpoint (§3.2);
-/// `rssp_lsn` is the value of the last durable RSSP note at or after it
-/// (they coincide in normal operation). With no completed checkpoint, the
-/// scan covers the whole log and RSSP is null.
-pub fn find_recovery_window(wal: &lr_wal::Wal) -> Result<(Lsn, Lsn, Vec<LogRecord>)> {
-    let (scan_start, _eckpt) = match wal.last_completed_checkpoint()? {
-        Some((b, e)) => (b, Some(e)),
-        None => (lr_wal::LOG_ORIGIN, None),
-    };
-    // One lazy forward pass over the borrowing cursor: each record is
-    // decoded exactly once, observed for the RSSP note, and moved (not
-    // re-decoded or cloned) into the window.
-    let mut rssp = Lsn::NULL;
-    let mut window = Vec::with_capacity(wal.records_from(scan_start).remaining());
-    for rec in wal.records_from(scan_start) {
-        let rec = rec?;
-        if let LogPayload::Rssp { rssp_lsn } = rec.payload {
-            rssp = rssp.max(rssp_lsn);
-        }
-        window.push(rec);
-    }
-    Ok((scan_start, rssp, window))
-}
-
 /// Work counters of a screened SMO barrier pass (parallel physiological
 /// recovery). Field names mirror the `RecoveryBreakdown` counters the
 /// caller folds them into.
@@ -325,13 +300,15 @@ mod tests {
         assert!(out2.smo_pages_skipped >= out.smo_pages_applied);
     }
 
+    // Window discovery is the log's restart pass; these pin what DC
+    // recovery relies on from it (scan start and the RSSP note).
+
     #[test]
     fn window_discovery_empty_log() {
-        let wal = Wal::new(4096);
-        let (start, rssp, window) = find_recovery_window(&wal).unwrap();
-        assert_eq!(start, lr_wal::LOG_ORIGIN);
-        assert!(rssp.is_null());
-        assert!(window.is_empty());
+        let scan = Wal::new(4096).restart().unwrap();
+        assert_eq!(scan.scan_start, lr_wal::LOG_ORIGIN);
+        assert!(scan.rssp_lsn.is_null());
+        assert!(scan.window.is_empty());
     }
 
     #[test]
@@ -346,13 +323,13 @@ mod tests {
         // An incomplete third checkpoint must be ignored.
         let b3 = wal.append(&LogPayload::BeginCheckpoint);
         wal.append(&LogPayload::Rssp { rssp_lsn: b3 });
-        let (start, rssp, window) = find_recovery_window(&wal).unwrap();
-        assert_eq!(start, b2);
+        let scan = wal.restart().unwrap();
+        assert_eq!(scan.scan_start, b2);
         // The RSSP note *after* b2's is on the log tail — taking the max is
         // correct: the DC had already flushed for b3's RSSP when it was
         // written, so redo from b2 is conservative, and Δ records are
         // filtered by TC-LSN anyway.
-        assert_eq!(rssp, b3);
-        assert_eq!(window.len(), 5);
+        assert_eq!(scan.rssp_lsn, b3);
+        assert_eq!(scan.window.len(), 5);
     }
 }

@@ -243,13 +243,17 @@ impl TransactionComponent {
     }
 
     /// Write the `eCkpt` record after the DC confirmed RSSP. Snapshots the
-    /// active-transaction table so analysis can seed loser detection.
+    /// active-transaction table so analysis can seed loser detection. Once
+    /// the record is forced, the checkpoint is complete and `bckpt_lsn` is
+    /// published as the log's checkpoint anchor — where the next restart
+    /// starts reading — under the same log latch.
     pub fn end_checkpoint(&self, bckpt_lsn: Lsn) -> Lsn {
         let active_txns = self.txns.active_snapshot();
         let lsn = {
             let mut wal = self.wal.lock();
             let lsn = wal.append(&LogPayload::EndCheckpoint { bckpt_lsn, active_txns });
             wal.make_all_stable();
+            wal.set_checkpoint_anchor(bckpt_lsn);
             lsn
         };
         self.stats.checkpoints_completed.fetch_add(1, Ordering::Relaxed);
@@ -330,6 +334,7 @@ mod tests {
         assert_eq!(bckpt_lsn, b);
         assert_eq!(active_txns.len(), 1, "only the uncommitted txn");
         assert_eq!(active_txns[0].0, t1);
+        assert_eq!(wal.checkpoint_anchor(), b, "completed checkpoint published");
     }
 
     #[test]

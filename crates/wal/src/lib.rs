@@ -21,7 +21,7 @@ pub mod record;
 pub mod shared;
 pub mod stats;
 
-pub use log::{RecordCursor, Wal, LOG_ORIGIN};
+pub use log::{RecordCursor, RestartScan, Wal, LOG_ORIGIN};
 pub use record::{ClrAction, DeltaRecord, LogPayload, LogRecord, SmoRecord};
 pub use shared::{GroupCommitStats, SharedWal, WalGuard};
 pub use stats::LogStats;

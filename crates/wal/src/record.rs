@@ -1,10 +1,11 @@
 //! Log record taxonomy and binary framing.
 //!
-//! Records are encoded as `[u32 body-len][u8 kind][body]`; the record's LSN
-//! is its byte offset in the log, so LSNs are dense, ordered, and directly
+//! A record's body is `[u8 kind][fields]`; on the log it sits in a frame
+//! `[u32 body-len][u32 crc32(body)][body]`. The record's LSN is its frame's
+//! byte offset in the log, so LSNs are dense, ordered, and directly
 //! convertible to log-page counts for the I/O cost accounting.
 
-use lr_common::codec::{CodecError, Decoder, Encoder};
+use lr_common::codec::{CodecError, Decoder, Encoder, FRAME_HEADER};
 use lr_common::{Key, Lsn, PageId, TableId, TxnId, Value};
 
 /// A decoded record paired with its LSN.
@@ -178,6 +179,27 @@ impl LogPayload {
     /// Serialize the payload body (kind tag + fields, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(64);
+        self.encode_into(&mut e);
+        e.finish()
+    }
+
+    /// Serialize the payload as one complete log frame,
+    /// `[body-len u32][crc32(body) u32][body]` — what
+    /// [`crate::Wal::append_frame`] copies onto the log. Encoding and
+    /// checksum both happen here, on the caller's side of the log latch.
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let mut e = Encoder::with_capacity(FRAME_HEADER + 64);
+        e.put_u64(0); // header, patched below once the body exists
+        self.encode_into(&mut e);
+        let mut frame = e.finish();
+        let body = &frame[FRAME_HEADER..];
+        let (len, crc) = (body.len() as u32, lr_common::crc32(body));
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        frame
+    }
+
+    fn encode_into(&self, e: &mut Encoder) {
         match self {
             LogPayload::TxnBegin { txn } => {
                 e.put_u8(TAG_TXN_BEGIN);
@@ -291,7 +313,6 @@ impl LogPayload {
                 e.put_lsn(*rssp_lsn);
             }
         }
-        e.finish()
     }
 
     /// Decode a payload body produced by [`LogPayload::encode`].

@@ -6,8 +6,8 @@
 //! the log *buffer* but splits the expensive part — the commit-time force —
 //! into a leader/follower protocol (LogBase-style group commit):
 //!
-//! * **append** pre-encodes the record outside the latch, so the critical
-//!   section is an LSN assignment plus a memcpy;
+//! * **append** encodes and checksums the record's frame outside the latch,
+//!   so the critical section is an LSN assignment plus a memcpy;
 //! * **force_covering(lsn)** first checks the published stable-LSN hint
 //!   (lock-free). If a force is already in flight, the caller *waits* for
 //!   its publication instead of queueing on the log latch; whoever arrives
@@ -165,11 +165,11 @@ impl SharedWal {
         WalGuard { guard: self.inner.log.lock(), shared: &self.inner }
     }
 
-    /// Buffered append: encode outside the latch, take it only for the LSN
-    /// assignment + memcpy. Returns the record's LSN.
+    /// Buffered append: encode and checksum outside the latch, take it only
+    /// for the LSN assignment + memcpy. Returns the record's LSN.
     pub fn append(&self, payload: &LogPayload) -> Lsn {
-        let body = payload.encode();
-        self.inner.log.lock().append_encoded(&body)
+        let frame = payload.encode_frame();
+        self.inner.log.lock().append_frame(&frame)
     }
 
     /// The last published stable LSN (may lag the true value by one

@@ -13,7 +13,7 @@
 
 use lr_common::{IoModel, Lsn};
 use lr_core::{Engine, EngineConfig, ShadowDb};
-use lr_dc::{build_dpt_logical, build_dpt_sqlserver, find_recovery_window, DeltaDptMode};
+use lr_dc::{build_dpt_logical, build_dpt_sqlserver, DeltaDptMode};
 use lr_workload::{run_to_crash, CrashScenario, KeyDist, OpMix, TxnGenerator, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -92,11 +92,7 @@ fn run_case(p: &Params) {
     let out = run_to_crash(&mut engine, &mut shadow, &mut gen, &scenario).unwrap();
     let truth = out.snapshot.dirty_truth.clone();
 
-    let wal = engine.wal();
-    let (_, rssp, window) = {
-        let w = wal.lock();
-        find_recovery_window(&w).unwrap()
-    };
+    let lr_wal::RestartScan { rssp_lsn: rssp, window, .. } = engine.wal().lock().restart().unwrap();
 
     // SQL Server DPT: the update records carry every dirtying, so no tail
     // exemption applies — the DPT must cover all dirty pages.
@@ -162,11 +158,7 @@ fn delta_dpt_spectrum_orders_as_appendix_d_argues() {
         warm_cache: false,
     };
     run_to_crash(&mut engine, &mut shadow, &mut gen, &scenario).unwrap();
-    let wal = engine.wal();
-    let (_, rssp, window) = {
-        let w = wal.lock();
-        find_recovery_window(&w).unwrap()
-    };
+    let lr_wal::RestartScan { rssp_lsn: rssp, window, .. } = engine.wal().lock().restart().unwrap();
     let std = build_dpt_logical(&window, rssp, DeltaDptMode::Standard);
     let perfect = build_dpt_logical(&window, rssp, DeltaDptMode::Perfect);
     let reduced = build_dpt_logical(&window, rssp, DeltaDptMode::Reduced);

@@ -51,6 +51,19 @@ fn crash_and_recover_with(method: RecoveryMethod, seed: u64, workers: usize) -> 
     let report = engine.recover_with(method, RecoveryOptions::with_workers(workers)).unwrap();
     assert_eq!(report.method, method);
     assert_eq!(report.breakdown.workers, workers as u64);
+    // Restart reads the redo window, not the log: the bytes it validated
+    // fit in the window's log pages (plus one for the page the window
+    // starts inside). A count, exact for a seed — a segmented file log
+    // must keep honouring it.
+    let scanned = report.breakdown.restart_scan_bytes;
+    let log_page = engine.config().log_page_size as u64;
+    assert!(
+        scanned > 0 && scanned <= (report.log_pages_in_window + 1) * log_page,
+        "{method}: restart validated {scanned} bytes for a {}-page window",
+        report.log_pages_in_window
+    );
+    assert!(scanned < engine.last_crash_snapshot().unwrap().wal_bytes, "{method}: whole-log scan");
+    assert_eq!(report.breakdown.restart_scan_records, report.window_records);
     shadow.verify_against(&engine).unwrap_or_else(|e| {
         panic!("{method} (workers={workers}) diverged from the committed oracle: {e}")
     });
