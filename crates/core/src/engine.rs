@@ -384,8 +384,9 @@ impl Engine {
             self.dc.prepare_op(table, key, WriteIntent::Update { value_len: value.len() })?;
         let before = prep.before.take().expect("update prepare returns a before-image");
         let rec = self.tc.log_update(txn, table, key, prep.pid, before, value)?;
-        self.dc.apply(&rec)
-        // `prep`'s latches drop here — after the apply they protected.
+        // `apply` consumes `prep`: its latches are released inside, after
+        // the apply they protect (a failed log append drops them above).
+        self.dc.apply(prep, &rec)
     }
 
     default_table_op! {
@@ -400,7 +401,7 @@ impl Engine {
         let prep =
             self.dc.prepare_op(table, key, WriteIntent::Insert { value_len: value.len() })?;
         let rec = self.tc.log_insert(txn, table, key, prep.pid, value)?;
-        self.dc.apply(&rec)
+        self.dc.apply(prep, &rec)
     }
 
     default_table_op! {
@@ -415,7 +416,7 @@ impl Engine {
         let mut prep = self.dc.prepare_op(table, key, WriteIntent::Delete)?;
         let before = prep.before.take().expect("delete prepare returns a before-image");
         let rec = self.tc.log_delete(txn, table, key, prep.pid, before)?;
-        self.dc.apply(&rec)
+        self.dc.apply(prep, &rec)
     }
 
     default_table_op! {
@@ -656,6 +657,12 @@ impl Engine {
         m.push_counters("dc", &dc_stats.counters());
         m.push_histograms("dc", &dc_stats.histograms());
         m.push_counters("io", &io.counters());
+        if let Some(wire) = self.dc.wire_telemetry() {
+            m.push_counter("dc_wire_requests", wire.total_count());
+            for op in &wire.ops {
+                m.push_counter(&format!("dc_wire_requests_{}", op.name()), op.count);
+            }
+        }
         m.push_counter("tc_begins", tc.begins);
         m.push_counter("tc_commits", tc.commits);
         m.push_counter("tc_aborts", tc.aborts);

@@ -28,9 +28,11 @@
 //!
 //! * **Write protocol**: the TC calls [`DcApi::prepare_op`] (placement +
 //!   before-image, latches held by the returned guard), logs the record,
-//!   then calls [`DcApi::apply`] while the guard is alive. Per-page apply
-//!   order must equal log order, and every apply stamps the page LSN, so
-//!   the pLSN redo test stays sound.
+//!   then hands the [`PreparedOp`] back to [`DcApi::apply`], which applies
+//!   under the guard and releases it before returning — on success and on
+//!   error. A prepare abandoned before apply (logging failed) releases by
+//!   drop. Per-page apply order must equal log order, and every apply
+//!   stamps the page LSN, so the pLSN redo test stays sound.
 //! * **LSN rules**: `apply_at(pid, rec)` installs `rec`'s effect under
 //!   `rec.lsn` with *no* redo test — callers (recovery) run their own
 //!   DPT/rLSN/pLSN screens first. Structure modifications are logged as
@@ -53,44 +55,75 @@
 use crate::dc::{DcConfig, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
+use crate::telemetry::WireTelemetrySnapshot;
 use lr_buffer::BufferPool;
 use lr_common::{Key, Lsn, PageId, Result, TableId, Value};
 use lr_storage::Disk;
 use lr_wal::{LogRecord, SharedWal, SmoRecord};
 use std::sync::Arc;
 
-/// Marker for latch guards carried by [`PreparedOp`] / [`TableGuard`]:
-/// anything droppable qualifies, so backends can stash whatever guard
-/// combination their latch discipline needs without widening the API.
-pub trait OpGuard {}
-impl<T: ?Sized> OpGuard for T {}
+/// What pins a [`PreparedOp`]'s placement. In process that is whatever
+/// latch guards the backend's discipline needs ([`PreparedOp::new`] takes
+/// anything droppable); a proxy's guard instead stands for a guard parked
+/// on the far side and implements this to name it.
+pub trait OpGuard {
+    /// The server-held token this guard stands for; 0 — never a live
+    /// token — for in-process latches.
+    fn token(&self) -> u64 {
+        0
+    }
+
+    /// The far side has consumed the op and released the parked guard:
+    /// dropping this one must send no release.
+    fn disarm(&mut self) {}
+}
+
+/// In-process latch guards behind [`OpGuard`]: no token, release by drop.
+struct Latches<G>(#[allow(dead_code)] G);
+impl<G> OpGuard for Latches<G> {}
 
 /// A staged write, backend-agnostic: the placement PID, the before-image
-/// for undo, and an opaque guard that keeps the placement valid until the
-/// caller has logged and applied the operation (drop after
-/// [`DcApi::apply`]).
+/// for undo, and an opaque guard that keeps the placement valid until
+/// [`DcApi::apply`] consumes the op (or, for a prepare abandoned before
+/// apply, until it is dropped).
 ///
 /// The guard box is `Send`: a message-passing deployment parks prepared
-/// ops server-side in a token map and releases them from whichever thread
-/// serves the release request, so guards cannot be thread-affine (the
-/// backends use [`lr_common::latch::Latch`] for exactly this reason).
+/// ops server-side in a token map and applies or releases them from
+/// whichever thread serves the request, so guards cannot be thread-affine
+/// (the backends use [`lr_common::latch::Latch`] for exactly this reason).
 pub struct PreparedOp<'a> {
     /// Page the operation will land on (piggybacked onto the TC's log
     /// record for the physiological baselines).
     pub pid: PageId,
     /// Before-image for undo (`None` for inserts).
     pub before: Option<Value>,
-    _guard: Box<dyn OpGuard + Send + 'a>,
+    guard: Box<dyn OpGuard + Send + 'a>,
 }
 
 impl<'a> PreparedOp<'a> {
-    /// Package a staged write with the guard that pins its placement.
-    pub fn new(
+    /// Package a staged write with the latch guards that pin its placement.
+    pub fn new(pid: PageId, before: Option<Value>, guard: impl Send + 'a) -> PreparedOp<'a> {
+        PreparedOp::proxied(pid, before, Latches(guard))
+    }
+
+    /// Package a staged write whose guard is parked on the far side of a
+    /// message boundary.
+    pub fn proxied(
         pid: PageId,
         before: Option<Value>,
         guard: impl OpGuard + Send + 'a,
     ) -> PreparedOp<'a> {
-        PreparedOp { pid, before, _guard: Box::new(guard) }
+        PreparedOp { pid, before, guard: Box::new(guard) }
+    }
+
+    /// [`OpGuard::token`] of the guard behind this op.
+    pub fn token(&self) -> u64 {
+        self.guard.token()
+    }
+
+    /// [`OpGuard::disarm`] the guard behind this op.
+    pub fn disarm(&mut self) {
+        self.guard.disarm()
     }
 
     /// The placement + before-image without the guard (single-threaded
@@ -103,10 +136,10 @@ impl<'a> PreparedOp<'a> {
 /// An exclusive (or shared) table latch held through the trait — opaque so
 /// each backend keeps its own latch type. `Send` for the same reason as
 /// [`PreparedOp`]'s guard.
-pub struct TableGuard<'a>(#[allow(dead_code)] Box<dyn OpGuard + Send + 'a>);
+pub struct TableGuard<'a>(#[allow(dead_code)] Box<dyn Send + 'a>);
 
 impl<'a> TableGuard<'a> {
-    pub fn new(guard: impl OpGuard + Send + 'a) -> TableGuard<'a> {
+    pub fn new(guard: impl Send + 'a) -> TableGuard<'a> {
         TableGuard(Box::new(guard))
     }
 }
@@ -172,6 +205,12 @@ pub trait DcIntrospect: Send + Sync {
     /// The shared log handle (TC and DC write one common log, §4.1).
     fn wal(&self) -> SharedWal;
 
+    /// Client-side per-request wire accumulators, for a deployment that
+    /// reaches its DC through messages; `None` in process.
+    fn wire_telemetry(&self) -> Option<WireTelemetrySnapshot> {
+        None
+    }
+
     /// How many frames the cache can actually fill: its capacity bounded
     /// by the database size (the paper's 2048 MB case).
     fn cache_fill_target(&self) -> usize {
@@ -203,7 +242,8 @@ pub trait DcApi: DcIntrospect {
 
     /// Stage a write with the backend's full concurrency discipline:
     /// returns the placement PID and before-image, with latches held by
-    /// the guard so the placement stays valid until [`DcApi::apply`].
+    /// the guard so the placement stays valid until [`DcApi::apply`]
+    /// consumes the op.
     fn prepare_op(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PreparedOp<'_>>;
 
     /// Latch-free staging (single-threaded callers — recovery, replicas —
@@ -214,9 +254,10 @@ pub trait DcApi: DcIntrospect {
     fn prepare_write(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PrepareInfo>;
 
     /// Apply a logged data operation to the page named by the record (the
-    /// normal-execution path). Call while the corresponding
-    /// [`PreparedOp`] guard is alive; stamps the page with `rec.lsn`.
-    fn apply(&self, rec: &LogRecord) -> Result<()>;
+    /// normal-execution path) under the guard of the `op` that staged it;
+    /// stamps the page with `rec.lsn`. The guard is released when this
+    /// returns, whether the apply succeeded or not.
+    fn apply(&self, op: PreparedOp<'_>, rec: &LogRecord) -> Result<()>;
 
     /// Apply `rec`'s operation to `pid` under `rec.lsn`, with **no redo
     /// test** — callers (recovery paths) run their own screens. Shared by
@@ -415,6 +456,7 @@ mod tests {
         let op = PreparedOp::new(PageId(7), Some(vec![1, 2]), guard);
         assert_eq!(op.pid, PageId(7));
         assert_eq!(op.info().before.unwrap(), vec![1, 2]);
+        assert_eq!(op.token(), 0, "in-process latches name no server-held token");
         drop(op); // releases the latch
         assert!(lock.try_write().is_some());
     }

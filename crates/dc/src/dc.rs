@@ -699,8 +699,8 @@ impl DataComponent {
 
     /// Stage a write with the full concurrency discipline: returns a
     /// [`PreparedOp`] whose latches keep the placement valid until the
-    /// caller has logged and applied the operation (drop it after
-    /// [`DataComponent::apply`]).
+    /// caller has logged the operation and [`DcApi::apply`] has consumed
+    /// it.
     ///
     /// Fast path: with `optimistic_writes` the OLC prepare
     /// ([`DataComponent::try_prepare_optimistic`]) runs first — latch-free
@@ -851,7 +851,8 @@ impl DataComponent {
 
     /// Apply a logged data operation to the page named by the record (the
     /// normal-execution path; recovery has its own redo-test-guarded paths).
-    /// Call while the corresponding [`PreparedOp`] guard is alive.
+    /// Concurrent callers go through [`DcApi::apply`], which holds the
+    /// staging [`PreparedOp`]'s guard across this.
     pub fn apply(&self, rec: &LogRecord) -> Result<()> {
         self.apply_at(
             rec.payload.data_pid().ok_or_else(|| {
@@ -1173,7 +1174,8 @@ impl DcApi for DataComponent {
         DataComponent::prepare_write(self, table, key, intent)
     }
 
-    fn apply(&self, rec: &LogRecord) -> Result<()> {
+    fn apply(&self, _op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
+        // `_op`'s latches drop on return — after the apply they protect.
         DataComponent::apply(self, rec)
     }
 

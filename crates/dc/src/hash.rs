@@ -674,7 +674,8 @@ impl DcApi for HashDc {
         self.prepare_locked(table, key, intent)
     }
 
-    fn apply(&self, rec: &LogRecord) -> Result<()> {
+    fn apply(&self, _op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
+        // `_op`'s table latch drops on return — after the apply.
         let pid = rec
             .payload
             .data_pid()
@@ -1023,18 +1024,17 @@ mod tests {
     /// One engine-style op: prepare → log (for real, so recovery sees
     /// it) → apply.
     fn insert(dc: &HashDc, key: Key, value: Vec<u8>) {
-        let info =
-            dc.prepare_write(T, key, WriteIntent::Insert { value_len: value.len() }).unwrap();
+        let op = dc.prepare_op(T, key, WriteIntent::Insert { value_len: value.len() }).unwrap();
         let payload = LogPayload::Insert {
             txn: TxnId(1),
             table: T,
             key,
-            pid: info.pid,
+            pid: op.pid,
             prev_lsn: Lsn::NULL,
             value,
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
+        dc.apply(op, &LogRecord { lsn, payload }).unwrap();
     }
 
     #[test]
@@ -1091,19 +1091,19 @@ mod tests {
             insert(&dc, k, vec![1u8; 40]);
         }
         // Grow key 5 far beyond its page's free space.
-        let info = dc.prepare_write(T, 5, WriteIntent::Update { value_len: 200 }).unwrap();
-        assert_eq!(info.before.as_deref(), Some(&[1u8; 40][..]));
+        let op = dc.prepare_op(T, 5, WriteIntent::Update { value_len: 200 }).unwrap();
+        assert_eq!(op.before.as_deref(), Some(&[1u8; 40][..]));
         let payload = LogPayload::Update {
             txn: TxnId(2),
             table: T,
             key: 5,
-            pid: info.pid,
+            pid: op.pid,
             prev_lsn: Lsn::NULL,
-            before: info.before.clone().unwrap(),
+            before: op.before.clone().unwrap(),
             after: vec![9u8; 200],
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
+        dc.apply(op, &LogRecord { lsn, payload }).unwrap();
         assert_eq!(DcApi::read(&dc, T, 5).unwrap().unwrap(), vec![9u8; 200]);
         dc.verify_table(T).unwrap(); // exactly one copy, index in sync
     }

@@ -833,7 +833,8 @@ impl DcApi for LogDc {
         self.prepare_locked(table, key, intent)
     }
 
-    fn apply(&self, rec: &LogRecord) -> Result<()> {
+    fn apply(&self, _op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
+        // `_op`'s table latch drops on return — after the apply.
         let pid = rec
             .payload
             .data_pid()
@@ -1196,15 +1197,15 @@ mod tests {
         } else {
             WriteIntent::Insert { value_len: value.len() }
         };
-        let info = dc.prepare_write(T, key, intent).unwrap();
+        let op = dc.prepare_op(T, key, intent).unwrap();
         let payload = if update {
             LogPayload::Update {
                 txn: TxnId(1),
                 table: T,
                 key,
-                pid: info.pid,
+                pid: op.pid,
                 prev_lsn: Lsn::NULL,
-                before: info.before.clone().unwrap(),
+                before: op.before.clone().unwrap(),
                 after: value,
             }
         } else {
@@ -1212,27 +1213,27 @@ mod tests {
                 txn: TxnId(1),
                 table: T,
                 key,
-                pid: info.pid,
+                pid: op.pid,
                 prev_lsn: Lsn::NULL,
                 value,
             }
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
+        dc.apply(op, &LogRecord { lsn, payload }).unwrap();
     }
 
     fn delete(dc: &LogDc, key: Key) {
-        let info = dc.prepare_write(T, key, WriteIntent::Delete).unwrap();
+        let op = dc.prepare_op(T, key, WriteIntent::Delete).unwrap();
         let payload = LogPayload::Delete {
             txn: TxnId(1),
             table: T,
             key,
-            pid: info.pid,
+            pid: op.pid,
             prev_lsn: Lsn::NULL,
-            before: info.before.clone().unwrap(),
+            before: op.before.clone().unwrap(),
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
+        dc.apply(op, &LogRecord { lsn, payload }).unwrap();
     }
 
     #[test]
@@ -1407,8 +1408,7 @@ mod tests {
                     after: value,
                 };
                 let lsn = dc.wal().append(&payload);
-                dc.apply(&LogRecord { lsn, payload }).unwrap();
-                drop(op);
+                dc.apply(op, &LogRecord { lsn, payload }).unwrap();
             }
         }
         stop.store(true, AOrd::Relaxed);

@@ -19,26 +19,31 @@
 //! ## Guard proxies
 //!
 //! `prepare_op` / `lock_table_exclusive` hand out guards backed by
-//! server-held tokens (see [`crate::server`]): the proxy guard's `Drop`
-//! sends the matching release request. A release over a dead transport is
-//! swallowed — the disconnect cleanup has already freed the server-side
-//! guard, so there is nothing left to release.
+//! server-held tokens (see [`crate::server`]). A prepared op's token rides
+//! on its `Apply`: the server applies under the parked guard and releases
+//! it in that one exchange, and the proxy disarms its guard once the
+//! server has answered — so a proxied write is two crossings, `PrepareOp`
+//! and `Apply`. Only a guard still armed at drop (a prepare abandoned
+//! before apply, an `Apply` the transport lost, a table latch) sends its
+//! release request. A release over a dead transport is swallowed — the
+//! disconnect cleanup has already freed the server-side guard, so there
+//! is nothing left to release.
 
 use crate::api::{
-    DcApi, DcIntrospect, Located, PreloadStats, PreparedOp, TableGuard, TableSummary,
+    DcApi, DcIntrospect, Located, OpGuard, PreloadStats, PreparedOp, TableGuard, TableSummary,
 };
 use crate::dc::{DcConfig, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
 use crate::server::{envelope, open_envelope, wire_error, DcServer};
 use crate::telemetry::{WireTelemetry, WireTelemetrySnapshot};
-use crate::wire::{DcReply, DcRequest, WireDpt};
+use crate::wire::{encode_apply, encode_apply_at, DcReply, DcRequest, WireDpt};
 use lr_buffer::BufferPool;
 use lr_common::codec::{frame, unframe};
 use lr_common::{Error, Key, Lsn, PageId, Result, TableId, Value};
 use lr_obs::{EventKind, TraceSink};
 use lr_storage::Disk;
-use lr_wal::{LogRecord, SharedWal, SmoRecord};
+use lr_wal::{LogPayload, LogRecord, SharedWal, SmoRecord};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -143,17 +148,31 @@ impl WireClient {
         self.trace.get().filter(|s| s.is_enabled())
     }
 
-    /// One framed round trip: stamp a fresh request id, time the
-    /// transport, check the echoed id, and record the exchange.
     fn call(&self, req: &DcRequest) -> Result<DcReply> {
-        let tag = req.tag();
+        self.call_encoded(&req.encode())
+    }
+
+    /// One round trip, with the server's `Err` reply as this call's error.
+    fn call_encoded(&self, body: &[u8]) -> Result<DcReply> {
+        match self.exchange(body)? {
+            DcReply::Err(w) => Err(w.into()),
+            other => Ok(other),
+        }
+    }
+
+    /// One framed round trip of an encoded request (`body[0]` is its
+    /// tag): stamp a fresh request id, time the transport, check the
+    /// echoed id, and record the exchange. `Ok` means the server answered
+    /// *this* request — possibly with [`DcReply::Err`]; `Err` means the
+    /// exchange itself failed and the request may not have been served.
+    fn exchange(&self, body: &[u8]) -> Result<DcReply> {
+        let tag = body[0];
         let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
-        let body = req.encode();
         if let Some(t) = self.trace() {
             t.emit(EventKind::WireRequest { req_id, op: tag as u64, bytes: body.len() as u64 });
         }
         let start = Instant::now();
-        let reply = self.transport.call(&frame(&envelope(req_id, &body)))?;
+        let reply = self.transport.call(&frame(&envelope(req_id, body)))?;
         let lat_us = start.elapsed().as_micros() as u64;
         let payload = unframe(&reply).map_err(wire_error)?;
         let (echo, rep_body) =
@@ -175,24 +194,35 @@ impl WireClient {
                 ok,
             });
         }
-        match rep {
-            DcReply::Err(w) => Err(w.into()),
-            other => Ok(other),
-        }
+        Ok(rep)
     }
 }
 
-/// Proxy guard for a server-parked [`PreparedOp`]: dropping it releases
-/// the token (best-effort — a dead transport means the disconnect cleanup
-/// already did it).
+/// Proxy guard for a server-parked [`PreparedOp`]. [`RemoteDc::apply`]
+/// disarms it once the server has consumed the token; dropped while still
+/// armed it releases the token (best-effort — a dead transport means the
+/// disconnect cleanup already did it).
 struct RemoteOpGuard {
     client: Arc<WireClient>,
+    /// 0 once disarmed (the server never issues token 0).
     token: u64,
+}
+
+impl OpGuard for RemoteOpGuard {
+    fn token(&self) -> u64 {
+        self.token
+    }
+
+    fn disarm(&mut self) {
+        self.token = 0;
+    }
 }
 
 impl Drop for RemoteOpGuard {
     fn drop(&mut self) {
-        let _ = self.client.call(&DcRequest::ReleaseOp { token: self.token });
+        if self.token != 0 {
+            let _ = self.client.call(&DcRequest::ReleaseOp { token: self.token });
+        }
     }
 }
 
@@ -271,15 +301,9 @@ impl RemoteDc {
         let _ = self.call(req);
     }
 
-    /// The client-side per-op accumulators: round-trip latencies as this
-    /// proxy observed them through the transport.
-    pub fn wire_telemetry(&self) -> WireTelemetrySnapshot {
-        self.client.telemetry.snapshot()
-    }
-
     /// Pull the *server's* per-op accumulators across the boundary via
     /// [`DcRequest::Introspect`] — dispatch-side latencies, so the gap to
-    /// [`RemoteDc::wire_telemetry`] is pure transport overhead.
+    /// [`DcIntrospect::wire_telemetry`] is pure transport overhead.
     pub fn server_telemetry(&self) -> Result<WireTelemetrySnapshot> {
         match self.call(DcRequest::Introspect)? {
             DcReply::WireTelemetry(snap) => Ok(snap),
@@ -323,6 +347,12 @@ impl DcIntrospect for RemoteDc {
     fn wal(&self) -> SharedWal {
         self.local.wal()
     }
+
+    /// Round-trip counts, bytes and latencies as this proxy observed them
+    /// through the transport.
+    fn wire_telemetry(&self) -> Option<WireTelemetrySnapshot> {
+        Some(self.client.telemetry.snapshot())
+    }
 }
 
 impl DcApi for RemoteDc {
@@ -351,7 +381,7 @@ impl DcApi for RemoteDc {
         match self.call(DcRequest::PrepareOp { table, key, intent: intent.into() })? {
             DcReply::Prepared { token, pid, before } => {
                 let guard = RemoteOpGuard { client: self.client.clone(), token };
-                Ok(PreparedOp::new(pid, before, guard))
+                Ok(PreparedOp::proxied(pid, before, guard))
             }
             other => Err(Self::protocol("prepare_op", other)),
         }
@@ -364,15 +394,22 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn apply(&self, rec: &LogRecord) -> Result<()> {
-        match self.call(DcRequest::Apply { rec: rec.clone() })? {
+    fn apply(&self, mut op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
+        // A failed exchange returns here with `op` still armed: the server
+        // may never have seen the request, so the drop sends `ReleaseOp`.
+        let rep = self.client.exchange(&encode_apply(op.token(), rec))?;
+        // The server answered: applied or refused, the token went with its
+        // parked guard in that same dispatch — nothing left to release.
+        op.disarm();
+        match rep {
             DcReply::Unit => Ok(()),
+            DcReply::Err(w) => Err(w.into()),
             other => Err(Self::protocol("apply", other)),
         }
     }
 
     fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {
-        match self.call(DcRequest::ApplyAt { pid, rec: rec.clone() })? {
+        match self.client.call_encoded(&encode_apply_at(pid, rec))? {
             DcReply::Unit => Ok(()),
             other => Err(Self::protocol("apply_at", other)),
         }
@@ -498,7 +535,12 @@ impl DcApi for RemoteDc {
     }
 
     fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)> {
-        match self.call(DcRequest::SmoRedo { window: window.to_vec() })? {
+        // Every backend's SMO redo reads the window's SMO records and
+        // nothing else, so only those cross (a whole redo window can
+        // outgrow the frame cap; its SMO records are a sliver of it).
+        let window =
+            window.iter().filter(|r| matches!(r.payload, LogPayload::Smo(_))).cloned().collect();
+        match self.call(DcRequest::SmoRedo { window })? {
             DcReply::Pair(applied, skipped) => Ok((applied, skipped)),
             other => Err(Self::protocol("smo_redo", other)),
         }
@@ -603,8 +645,12 @@ mod tests {
             value,
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
-        drop(op);
+        dc.apply(op, &LogRecord { lsn, payload }).unwrap();
+    }
+
+    /// How many exchanges of `req`'s kind the proxy has completed.
+    fn sent(remote: &RemoteDc, req: DcRequest) -> u64 {
+        remote.wire_telemetry().unwrap().op(req.tag()).map_or(0, |o| o.count)
     }
 
     #[test]
@@ -635,24 +681,82 @@ mod tests {
 
         // Park a prepare server-side, then drop the connection under it.
         let op = remote.prepare_op(T, 2, WriteIntent::Insert { value_len: 8 }).unwrap();
+        let pid = op.pid;
         transport.disconnect();
         assert!(!transport.is_connected());
 
-        // Calls now fail with a clean transport error, not a wedge/panic.
+        // Calls now fail with a clean transport error, not a wedge/panic —
+        // the apply that consumes the parked op included. It leaves the
+        // op's guard armed; the release its drop then attempts over the
+        // dead transport is swallowed (the disconnect cleanup already
+        // released the server-side token).
         match remote.read(T, 1) {
             Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
             other => panic!("expected a broken-pipe error, got {other:?}"),
         }
-        // Dropping the proxy guard over the dead transport is harmless —
-        // the disconnect cleanup already released the server-side token.
-        drop(op);
+        let payload = LogPayload::Insert {
+            txn: TxnId(1),
+            table: T,
+            key: 2,
+            pid,
+            prev_lsn: Lsn::NULL,
+            value: vec![2; 8],
+        };
+        match remote.apply(op, &LogRecord { lsn: Lsn(900), payload }) {
+            Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
+            other => panic!("expected a broken-pipe error, got {other:?}"),
+        }
 
-        // Reconnect: the table is writable again (no wedged latch).
+        // Reconnect: the key is writable again (no wedged latch).
         let server = Arc::new(DcServer::new(remote.local.clone()));
         transport.reconnect(server);
-        let op = remote.prepare_op(T, 2, WriteIntent::Insert { value_len: 8 }).unwrap();
-        drop(op);
+        insert(remote.as_ref(), 2, vec![2; 8]);
         assert_eq!(remote.read(T, 1).unwrap().unwrap(), vec![1; 8]);
+        assert_eq!(remote.read(T, 2).unwrap().unwrap(), vec![2; 8]);
+    }
+
+    #[test]
+    fn a_write_is_two_crossings_and_only_an_abandoned_prepare_releases() {
+        let (remote, transport) = deployment();
+        let server = transport.server().unwrap();
+        let release = || sent(&remote, DcRequest::ReleaseOp { token: 0 });
+        for k in 0..5u64 {
+            insert(remote.as_ref(), k, vec![0; 8]);
+        }
+        // create_table + 5 × (PrepareOp, Apply): the fused apply released
+        // each token server-side and disarmed the proxy guard's drop.
+        assert_eq!(remote.wire_telemetry().unwrap().total_count(), 1 + 5 * 2);
+        assert_eq!(release(), 0);
+        assert_eq!(server.held_guards(), 0);
+
+        // Abandoned before apply: the drop sends exactly one ReleaseOp.
+        let op = remote.prepare_op(T, 9, WriteIntent::Insert { value_len: 8 }).unwrap();
+        assert_eq!(server.held_guards(), 1);
+        drop(op);
+        assert_eq!(release(), 1);
+        assert_eq!(server.held_guards(), 0);
+    }
+
+    #[test]
+    fn apply_that_fails_dc_side_returns_the_typed_error_and_releases_its_token() {
+        let (remote, transport) = deployment();
+        let server = transport.server().unwrap();
+        let op = remote.prepare_op(T, 1, WriteIntent::Insert { value_len: 8 }).unwrap();
+        // The record names a table the DC has never heard of.
+        let payload = LogPayload::Insert {
+            txn: TxnId(1),
+            table: TableId(99),
+            key: 1,
+            pid: op.pid,
+            prev_lsn: Lsn::NULL,
+            value: vec![1; 8],
+        };
+        let out = remote.apply(op, &LogRecord { lsn: Lsn(900), payload });
+        assert!(matches!(out, Err(Error::UnknownTable(TableId(99)))), "{out:?}");
+        assert_eq!(server.held_guards(), 0, "a failed apply must not keep its guard");
+        // The server answered, so the consumed op's drop sent nothing more.
+        assert_eq!(sent(&remote, DcRequest::ReleaseOp { token: 0 }), 0);
+        insert(remote.as_ref(), 1, vec![1; 8]); // key 1 is not wedged
     }
 
     #[test]
@@ -665,7 +769,7 @@ mod tests {
             remote.read(T, k).unwrap();
         }
         let _ = remote.read(TableId(99), 1); // one error exchange
-        let client = remote.wire_telemetry();
+        let client = remote.wire_telemetry().unwrap();
         let server = transport.server().unwrap().telemetry();
         // Same ops, same counts, same byte totals on both sides; only the
         // latencies differ (round-trip vs dispatch-only), so compare the

@@ -10,11 +10,17 @@
 //!
 //! The local [`DcApi::prepare_op`] / [`DcApi::lock_table_exclusive`] return
 //! borrow-carrying guards that cannot cross a message boundary. The server
-//! parks them: each prepare gets a token, the guard lives in a token map
-//! (keeping its latches held, exactly as if the caller's stack held it),
-//! and the client releases it with `ReleaseOp { token }` once it has
-//! logged and applied. Releases are idempotent, and a transport that drops
-//! its connection calls [`DcServer::release_all`] so a vanished client can
+//! parks them: each prepare gets a token, and the guard lives in a token
+//! map (keeping its latches held, exactly as if the caller's stack held
+//! it) until the client, having logged the operation, sends
+//! `Apply { token, rec }`. That dispatch takes the guard out of the map,
+//! applies under it and drops it before replying — whether or not the
+//! apply succeeded — so the release costs no exchange of its own. An
+//! `Apply` naming a token that is not parked (never issued, already
+//! applied or released, swept by a disconnect) is refused before any page
+//! is touched. `ReleaseOp { token }` is for a prepare the client abandons
+//! before apply; releases are idempotent, and a transport that drops its
+//! connection calls [`DcServer::release_all`] so a vanished client can
 //! never wedge the DC (the same duty a TCP accept loop performs on
 //! connection teardown).
 
@@ -35,7 +41,7 @@ use std::time::Instant;
 /// alive. Field order is drop order: the guard must die before the owner
 /// it borrows from.
 struct HeldOp {
-    _guard: PreparedOp<'static>,
+    guard: PreparedOp<'static>,
     _owner: Arc<dyn DcApi>,
 }
 
@@ -201,10 +207,13 @@ impl DcServer {
         let before = op.before.clone();
         // SAFETY: the guard borrows from `self.inner`'s referent, which the
         // HeldOp's `_owner` Arc keeps alive for at least as long as the
-        // guard; field order drops the guard first.
+        // guard. A HeldOp dropped whole (release, disconnect sweep) drops
+        // the guard first by field order; the `Apply` dispatch takes the
+        // HeldOp out of the map and moves the guard into `inner.apply`,
+        // where it dies while `_owner` is still on the dispatch's stack.
         let guard: PreparedOp<'static> = unsafe { std::mem::transmute(op) };
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.held_ops.lock().insert(token, HeldOp { _guard: guard, _owner: self.inner.clone() });
+        self.held_ops.lock().insert(token, HeldOp { guard, _owner: self.inner.clone() });
         (token, pid, before)
     }
 
@@ -244,8 +253,19 @@ impl DcServer {
             DcRequest::PrepareWrite { table, key, intent } => {
                 DcReply::info(dc.prepare_write(table, key, intent.into())?)
             }
-            DcRequest::Apply { rec } => {
-                dc.apply(&rec)?;
+            DcRequest::Apply { token, rec } => {
+                let HeldOp { guard, _owner } =
+                    self.held_ops.lock().remove(&token).ok_or_else(|| {
+                        Error::RecoveryInvariant(format!(
+                            "apply names op token {token}, which is not parked \
+                             (unknown, already applied or released)"
+                        ))
+                    })?;
+                let applied = dc.apply(guard, &rec);
+                if let Some(t) = self.trace() {
+                    t.emit(EventKind::TokenRelease { token });
+                }
+                applied?;
                 DcReply::Unit
             }
             DcRequest::ApplyAt { pid, rec } => {
@@ -401,39 +421,104 @@ mod tests {
         DcReply::decode(body).unwrap()
     }
 
-    #[test]
-    fn framed_write_protocol_end_to_end() {
-        let srv = server();
-        // prepare → log → apply → release, all through frames.
+    /// Park a prepare for an insert of `key` through a frame.
+    fn prepare_insert(srv: &DcServer, key: u64) -> (u64, lr_common::PageId) {
         let req =
-            DcRequest::PrepareOp { table: T, key: 7, intent: WireIntent::Insert { value_len: 3 } };
-        let (token, pid) = match call_frame(&srv, &req) {
+            DcRequest::PrepareOp { table: T, key, intent: WireIntent::Insert { value_len: 3 } };
+        match call_frame(srv, &req) {
             DcReply::Prepared { token, pid, before } => {
                 assert!(before.is_none());
                 (token, pid)
             }
             other => panic!("expected Prepared, got {other:?}"),
-        };
-        assert_eq!(srv.held_guards(), 1);
+        }
+    }
 
+    /// A logged insert of `key -> [1, 2, 3]` into `table`, placed at `pid`.
+    fn logged_insert(
+        srv: &DcServer,
+        table: TableId,
+        key: u64,
+        pid: lr_common::PageId,
+    ) -> LogRecord {
         let payload = LogPayload::Insert {
             txn: TxnId(1),
-            table: T,
-            key: 7,
+            table,
+            key,
             pid,
             prev_lsn: Lsn::NULL,
             value: vec![1, 2, 3],
         };
-        let lsn = srv.backend().wal().append(&payload);
-        let apply = DcRequest::Apply { rec: LogRecord { lsn, payload } };
+        LogRecord { lsn: srv.backend().wal().append(&payload), payload }
+    }
+
+    #[test]
+    fn framed_write_protocol_end_to_end() {
+        let srv = server();
+        // prepare → log → apply, all through frames; the apply releases.
+        let (token, pid) = prepare_insert(&srv, 7);
+        assert_eq!(srv.held_guards(), 1);
+        let apply = DcRequest::Apply { token, rec: logged_insert(&srv, T, 7, pid) };
         assert_eq!(call_frame(&srv, &apply), DcReply::Unit);
-        srv.serve(DcRequest::ReleaseOp { token });
         assert_eq!(srv.held_guards(), 0);
+        // Releasing after the fused apply finds nothing: a no-op.
+        assert_eq!(srv.serve(DcRequest::ReleaseOp { token }), DcReply::Unit);
 
         match srv.serve(DcRequest::Read { table: T, key: 7 }) {
             DcReply::Value(Some(v)) => assert_eq!(v, vec![1, 2, 3]),
             other => panic!("expected the inserted value, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn apply_that_fails_dc_side_still_releases_its_token() {
+        let srv = server();
+        let (token, pid) = prepare_insert(&srv, 7);
+        // The record names a table the DC has never heard of.
+        let apply = DcRequest::Apply { token, rec: logged_insert(&srv, TableId(99), 7, pid) };
+        match call_frame(&srv, &apply) {
+            DcReply::Err(WireError::UnknownTable(t)) => assert_eq!(t, TableId(99)),
+            other => panic!("expected UnknownTable, got {other:?}"),
+        }
+        assert_eq!(srv.held_guards(), 0, "a failed apply must not keep its guard");
+        // Key 7 is not wedged behind the dead token.
+        let (token, pid) = prepare_insert(&srv, 7);
+        let apply = DcRequest::Apply { token, rec: logged_insert(&srv, T, 7, pid) };
+        assert_eq!(call_frame(&srv, &apply), DcReply::Unit);
+    }
+
+    #[test]
+    fn apply_naming_no_parked_guard_is_refused_and_touches_no_page() {
+        let srv = server();
+        let (token, pid) = prepare_insert(&srv, 7);
+        let rec = logged_insert(&srv, T, 7, pid);
+        assert_eq!(srv.serve(DcRequest::Apply { token, rec }), DcReply::Unit);
+        let page =
+            || srv.backend().pool().with_page(pid, |p| (p.plsn(), p.as_bytes().to_vec())).unwrap();
+        let settled = page();
+
+        // Zero (never issued), unknown, and already-applied tokens: each a
+        // typed refusal, with the page exactly as the one real apply left it.
+        let stray = logged_insert(&srv, T, 8, pid);
+        for bad in [0, token + 1000, token] {
+            match srv.serve(DcRequest::Apply { token: bad, rec: stray.clone() }) {
+                DcReply::Err(WireError::RecoveryInvariant(m)) => {
+                    assert!(m.contains("not parked"), "{m}")
+                }
+                other => panic!("token {bad}: expected a refusal, got {other:?}"),
+            }
+            assert_eq!(page(), settled, "token {bad}: the refused apply reached the page");
+        }
+        assert_eq!(srv.serve(DcRequest::Read { table: T, key: 8 }), DcReply::Value(None));
+        // A token released unapplied is as dead as an applied one.
+        let (released, pid9) = prepare_insert(&srv, 9);
+        srv.serve(DcRequest::ReleaseOp { token: released });
+        let rec9 = logged_insert(&srv, T, 9, pid9);
+        assert!(matches!(
+            srv.serve(DcRequest::Apply { token: released, rec: rec9 }),
+            DcReply::Err(WireError::RecoveryInvariant(_))
+        ));
+        assert_eq!(srv.serve(DcRequest::Read { table: T, key: 9 }), DcReply::Value(None));
     }
 
     #[test]

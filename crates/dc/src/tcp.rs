@@ -8,12 +8,12 @@
 //! A naive transport — one `TcpStream` behind a mutex — deadlocks: caller
 //! A's dispatch can block server-side (e.g. waiting on a latch a parked
 //! guard holds) while caller B, queued on the transport mutex behind A's
-//! in-flight exchange, is the very caller whose `ReleaseOp` would unblock
-//! A. Each exchange therefore checks a stream out of the pool (dialing a
-//! fresh one when the pool is empty), so blocked exchanges never gate
-//! other exchanges, and the server's thread-per-connection accept loop
-//! dispatches them concurrently — exactly the shape a production front
-//! end has.
+//! in-flight exchange, is the very caller whose `Apply` (which releases
+//! that guard) would unblock A. Each exchange therefore checks a stream
+//! out of the pool (dialing a fresh one when the pool is empty), so
+//! blocked exchanges never gate other exchanges, and the server's
+//! thread-per-connection accept loop dispatches them concurrently —
+//! exactly the shape a production front end has.
 //!
 //! ## Client-death semantics
 //!
@@ -307,6 +307,17 @@ mod tests {
         DcReply::decode(body).unwrap()
     }
 
+    /// Guard cleanup after a disconnect is asynchronous: the connection
+    /// threads observe EOF, and the last one out runs the orphaned-guard
+    /// release.
+    fn await_guard_sweep(server: &DcServer) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while server.held_guards() != 0 {
+            assert!(std::time::Instant::now() < deadline, "parked guard leaked past disconnect");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn frames_cross_a_real_socket() {
         let (_dc, transport) = tcp_deploy(test_backend(), "tcp-test").unwrap();
@@ -376,13 +387,77 @@ mod tests {
         transport.disconnect();
         let framed = frame(&crate::server::envelope(2, &DcRequest::Stats.encode()));
         assert!(transport.call(&framed).is_err(), "calls must fail after disconnect");
-        // Guard cleanup is asynchronous: the connection threads observe
-        // EOF, and the last one out runs the orphaned-guard release.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while server.held_guards() != 0 {
-            assert!(std::time::Instant::now() < deadline, "parked guard leaked past disconnect");
-            std::thread::yield_now();
+        await_guard_sweep(&server);
+    }
+
+    /// The token discipline of the fused apply, over a real socket: a
+    /// write is two exchanges and leaves no guard parked; an apply that
+    /// fails DC-side still releases; a token that is not parked is
+    /// refused; a disconnect between prepare and apply is a broken-pipe
+    /// error from `apply`, the consumed op drops quietly, and the swept
+    /// key is writable through a fresh deployment.
+    #[test]
+    fn fused_apply_token_discipline_over_a_socket() {
+        use crate::dc::WriteIntent;
+        use crate::DcIntrospect;
+        use lr_common::{Lsn, TxnId};
+        use lr_wal::{LogPayload, LogRecord};
+
+        let backend = test_backend();
+        let (dc, transport) = tcp_deploy(backend.clone(), "tcp-test").unwrap();
+        let server = transport.deployment().unwrap().server().clone();
+        let insert_rec = |table: TableId, key: u64, pid| {
+            let payload = LogPayload::Insert {
+                txn: TxnId(1),
+                table,
+                key,
+                pid,
+                prev_lsn: Lsn::NULL,
+                value: vec![key as u8; 8],
+            };
+            LogRecord { lsn: dc.wal().append(&payload), payload }
+        };
+        let release_tag = DcRequest::ReleaseOp { token: 0 }.tag();
+
+        let op = dc.prepare_op(T, 1, WriteIntent::Insert { value_len: 8 }).unwrap();
+        assert_eq!(server.held_guards(), 1);
+        let rec = insert_rec(T, 1, op.pid);
+        dc.apply(op, &rec).unwrap();
+        assert_eq!(server.held_guards(), 0);
+        let sent = dc.wire_telemetry().unwrap();
+        assert_eq!(sent.total_count(), 2, "PrepareOp + Apply");
+        assert!(sent.op(release_tag).is_none());
+
+        // DC-side failure: typed error back, token gone, nothing re-sent.
+        let op = dc.prepare_op(T, 2, WriteIntent::Insert { value_len: 8 }).unwrap();
+        let rec = insert_rec(TableId(99), 2, op.pid);
+        assert!(matches!(dc.apply(op, &rec), Err(Error::UnknownTable(TableId(99)))));
+        assert_eq!(server.held_guards(), 0);
+        assert!(dc.wire_telemetry().unwrap().op(release_tag).is_none());
+
+        // A token that is not parked: refused, key 3 never appears.
+        let stray =
+            DcRequest::Apply { token: 0, rec: insert_rec(T, 3, rec.payload.data_pid().unwrap()) };
+        assert!(matches!(
+            roundtrip(&transport, 1 << 40, &stray),
+            DcReply::Err(WireError::RecoveryInvariant(_))
+        ));
+        assert_eq!(dc.read(T, 3).unwrap(), None);
+
+        // Disconnect between prepare and apply.
+        let op = dc.prepare_op(T, 2, WriteIntent::Insert { value_len: 8 }).unwrap();
+        let rec = insert_rec(T, 2, op.pid);
+        transport.disconnect();
+        match dc.apply(op, &rec) {
+            Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
+            other => panic!("expected a broken-pipe error, got {other:?}"),
         }
+        await_guard_sweep(&server);
+        let (dc, _transport) = tcp_deploy(backend, "tcp-test").unwrap();
+        let op = dc.prepare_op(T, 2, WriteIntent::Insert { value_len: 8 }).unwrap();
+        let rec = insert_rec(T, 2, op.pid);
+        dc.apply(op, &rec).unwrap();
+        assert_eq!(dc.read(T, 2).unwrap().unwrap(), vec![2u8; 8]);
     }
 
     #[test]

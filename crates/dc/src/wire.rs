@@ -16,8 +16,11 @@
 //! * [`crate::DcApi::prepare_op`] returns a [`crate::PreparedOp`] whose
 //!   guard pins latches until apply. Over the wire the *server* parks that
 //!   guard in a token map and replies
-//!   [`DcReply::Prepared`]`{token, pid, before}`; the client's proxy guard
-//!   sends [`DcRequest::ReleaseOp`]`{token}` when dropped.
+//!   [`DcReply::Prepared`]`{token, pid, before}`;
+//!   [`DcRequest::Apply`]`{token, rec}` applies under the parked guard and
+//!   releases it in the same exchange. Only a prepare abandoned before
+//!   apply sends [`DcRequest::ReleaseOp`]`{token}`, from the proxy guard's
+//!   drop.
 //! * [`crate::DcApi::lock_table_exclusive`] likewise becomes
 //!   [`DcReply::TableLocked`]`{token}` + [`DcRequest::ReleaseTable`].
 //!
@@ -62,7 +65,8 @@ pub enum DcRequest {
         key: Key,
         intent: WireIntent,
     },
-    /// Drop the server-held guard of a parked [`DcReply::Prepared`].
+    /// Drop the server-held guard of a parked [`DcReply::Prepared`] that
+    /// will not be applied.
     ReleaseOp {
         token: u64,
     },
@@ -71,7 +75,9 @@ pub enum DcRequest {
         key: Key,
         intent: WireIntent,
     },
+    /// Apply `rec` under the guard parked as `token`, then release it.
     Apply {
+        token: u64,
         rec: LogRecord,
     },
     ApplyAt {
@@ -215,8 +221,9 @@ pub enum DcReply {
     Unit,
     Value(Option<Value>),
     Rows(Vec<(Key, Value)>),
-    /// A prepared write parked server-side: release with
-    /// [`DcRequest::ReleaseOp`]`{token}` once logged and applied.
+    /// A prepared write parked server-side: once logged, consume it with
+    /// [`DcRequest::Apply`]`{token, rec}` (or abandon it with
+    /// [`DcRequest::ReleaseOp`]`{token}`).
     Prepared {
         token: u64,
         pid: PageId,
@@ -767,6 +774,25 @@ pub fn op_name(tag: u8) -> &'static str {
     }
 }
 
+/// The body of [`DcRequest::Apply`], encoded from a borrowed record (the
+/// write path's hot request: no owned [`DcRequest`], no image copies).
+pub fn encode_apply(token: u64, rec: &LogRecord) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(64);
+    e.put_u8(REQ_APPLY);
+    e.put_u64(token);
+    put_record(&mut e, rec);
+    e.finish()
+}
+
+/// The body of [`DcRequest::ApplyAt`], encoded from a borrowed record.
+pub fn encode_apply_at(pid: PageId, rec: &LogRecord) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(64);
+    e.put_u8(REQ_APPLY_AT);
+    e.put_pid(pid);
+    put_record(&mut e, rec);
+    e.finish()
+}
+
 impl DcRequest {
     /// Serialize (tag + fields, no frame — callers wrap with
     /// [`lr_common::codec::frame`]).
@@ -804,15 +830,8 @@ impl DcRequest {
                 e.put_key(*key);
                 put_intent(&mut e, *intent);
             }
-            DcRequest::Apply { rec } => {
-                e.put_u8(REQ_APPLY);
-                put_record(&mut e, rec);
-            }
-            DcRequest::ApplyAt { pid, rec } => {
-                e.put_u8(REQ_APPLY_AT);
-                e.put_pid(*pid);
-                put_record(&mut e, rec);
-            }
+            DcRequest::Apply { token, rec } => return encode_apply(*token, rec),
+            DcRequest::ApplyAt { pid, rec } => return encode_apply_at(*pid, rec),
             DcRequest::Eosl { elsn } => {
                 e.put_u8(REQ_EOSL);
                 e.put_lsn(*elsn);
@@ -957,7 +976,7 @@ impl DcRequest {
                 key: d.get_key()?,
                 intent: get_intent(&mut d)?,
             },
-            REQ_APPLY => DcRequest::Apply { rec: get_record(&mut d)? },
+            REQ_APPLY => DcRequest::Apply { token: d.get_u64()?, rec: get_record(&mut d)? },
             REQ_APPLY_AT => DcRequest::ApplyAt { pid: d.get_pid()?, rec: get_record(&mut d)? },
             REQ_EOSL => DcRequest::Eosl { elsn: d.get_lsn()? },
             REQ_RSSP => DcRequest::Rssp { rssp_lsn: d.get_lsn()? },
@@ -1224,7 +1243,7 @@ mod tests {
                 key: 5,
                 intent: WireIntent::Update { value_len: 8 },
             },
-            DcRequest::Apply { rec: rec.clone() },
+            DcRequest::Apply { token: 78, rec: rec.clone() },
             DcRequest::ApplyAt { pid: PageId(7), rec: rec.clone() },
             DcRequest::Eosl { elsn: Lsn(500) },
             DcRequest::Rssp { rssp_lsn: Lsn(400) },
@@ -1261,6 +1280,33 @@ mod tests {
             DcRequest::Introspect,
         ] {
             roundtrip_req(req);
+        }
+    }
+
+    #[test]
+    fn apply_carries_its_token_and_a_cut_frame_is_a_typed_error() {
+        let rec = LogRecord {
+            lsn: Lsn(99),
+            payload: LogPayload::Delete {
+                txn: TxnId(3),
+                table: TableId(1),
+                key: 42,
+                pid: PageId(7),
+                prev_lsn: Lsn(5),
+                before: vec![9; 24],
+            },
+        };
+        // Layout: tag, token (u64 LE), record — encoded from the borrow.
+        let bytes = encode_apply(0xA1B2_C3D4_E5F6_0708, &rec);
+        assert_eq!(bytes[0], REQ_APPLY);
+        assert_eq!(bytes[1..9], 0xA1B2_C3D4_E5F6_0708u64.to_le_bytes());
+        let expect = DcRequest::Apply { token: 0xA1B2_C3D4_E5F6_0708, rec: rec.clone() };
+        assert_eq!(DcRequest::decode(&bytes).unwrap(), expect);
+        let at = DcRequest::ApplyAt { pid: PageId(7), rec: rec.clone() };
+        assert_eq!(DcRequest::decode(&encode_apply_at(PageId(7), &rec)).unwrap(), at);
+        // Cut anywhere — mid-token, mid-record — decoding reports it.
+        for cut in 1..bytes.len() {
+            assert!(DcRequest::decode(&bytes[..cut]).is_err(), "cut at {cut} decoded");
         }
     }
 

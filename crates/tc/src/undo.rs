@@ -272,23 +272,23 @@ mod tests {
 
     /// Run one full engine-style op: prepare → log → apply.
     fn do_insert(tc: &TransactionComponent, dc: &dyn DcApi, txn: TxnId, key: u64) {
-        let info = dc.prepare_write(T, key, WriteIntent::Insert { value_len: 8 }).unwrap();
-        let rec = tc.log_insert(txn, T, key, info.pid, key.to_le_bytes().to_vec()).unwrap();
-        dc.apply(&rec).unwrap();
+        let op = dc.prepare_op(T, key, WriteIntent::Insert { value_len: 8 }).unwrap();
+        let rec = tc.log_insert(txn, T, key, op.pid, key.to_le_bytes().to_vec()).unwrap();
+        dc.apply(op, &rec).unwrap();
     }
 
     fn do_update(tc: &TransactionComponent, dc: &dyn DcApi, txn: TxnId, key: u64, val: u64) {
-        let info = dc.prepare_write(T, key, WriteIntent::Update { value_len: 8 }).unwrap();
-        let rec = tc
-            .log_update(txn, T, key, info.pid, info.before.unwrap(), val.to_le_bytes().to_vec())
-            .unwrap();
-        dc.apply(&rec).unwrap();
+        let mut op = dc.prepare_op(T, key, WriteIntent::Update { value_len: 8 }).unwrap();
+        let before = op.before.take().unwrap();
+        let rec = tc.log_update(txn, T, key, op.pid, before, val.to_le_bytes().to_vec()).unwrap();
+        dc.apply(op, &rec).unwrap();
     }
 
     fn do_delete(tc: &TransactionComponent, dc: &dyn DcApi, txn: TxnId, key: u64) {
-        let info = dc.prepare_write(T, key, WriteIntent::Delete).unwrap();
-        let rec = tc.log_delete(txn, T, key, info.pid, info.before.unwrap()).unwrap();
-        dc.apply(&rec).unwrap();
+        let mut op = dc.prepare_op(T, key, WriteIntent::Delete).unwrap();
+        let before = op.before.take().unwrap();
+        let rec = tc.log_delete(txn, T, key, op.pid, before).unwrap();
+        dc.apply(op, &rec).unwrap();
     }
 
     #[test]

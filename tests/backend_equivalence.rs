@@ -18,9 +18,13 @@
 //! * the bank invariant — concurrent sessions transferring money, crash
 //!   with a transfer in flight, recover: conservation holds on every
 //!   backend, including through the proxy;
+//! * the crossing counts — a committed 10-update transaction through a
+//!   proxy is exactly 10 `PrepareOp` + 10 `Apply` + 1 `Eosl` and no
+//!   `ReleaseOp`, and recovery's `smo_redo` ships SMO records, not the
+//!   redo window;
 //! * the transport-drop probe — a prepare parked server-side when the
-//!   connection dies must surface a clean error and release its token,
-//!   never a wedged latch.
+//!   connection dies must surface a clean error (from the apply that
+//!   consumes it, too) and release its token, never a wedged latch.
 
 use lr_common::IoModel;
 use lr_core::config::deterministic_value;
@@ -429,6 +433,77 @@ fn engine_reports_its_backend() {
 }
 
 // ---------------------------------------------------------------------
+// what crosses the message boundary, as counts
+// ---------------------------------------------------------------------
+
+/// Requests of each kind the engine's proxy has completed, by op name.
+fn wire_counts(engine: &Engine) -> std::collections::BTreeMap<&'static str, u64> {
+    let snap = engine.dc().wire_telemetry().expect("a remote:* engine reaches its DC by messages");
+    snap.ops.iter().map(|o| (o.name(), o.count)).collect()
+}
+
+/// The seed-exact cost of a §5.2 transaction through the proxy: each
+/// update is PrepareOp + Apply (the guard release rides on the apply), the
+/// commit is one EOSL. A pipelining change must beat 21.
+fn assert_ten_update_transaction_is_21_crossings(backend: &str) {
+    let engine = Engine::build(config_for(backend)).unwrap().into_shared();
+    let vsize = engine.config().row_value_size;
+    let mut session = engine.session();
+    let before = wire_counts(&engine);
+    session.begin().unwrap();
+    for k in 0..10u64 {
+        session.update(k * 7, deterministic_value(k * 7, 1, vsize)).unwrap();
+    }
+    session.commit().unwrap();
+    let after = wire_counts(&engine);
+    let delta: Vec<(&str, u64)> = after
+        .iter()
+        .map(|(op, n)| (*op, n - before.get(op).copied().unwrap_or(0)))
+        .filter(|(_, n)| *n > 0)
+        .collect();
+    assert_eq!(delta, [("apply", 10), ("eosl", 1), ("prepare_op", 10)], "{backend}");
+    assert!(!after.contains_key("release_op"), "{backend}: no write was abandoned");
+}
+
+#[test]
+fn remote_committed_transaction_is_two_crossings_per_write_plus_the_eosl() {
+    for backend in REMOTE_BACKENDS {
+        assert_ten_update_transaction_is_21_crossings(backend);
+    }
+}
+
+#[test]
+fn tcp_committed_transaction_is_two_crossings_per_write_plus_the_eosl() {
+    assert_ten_update_transaction_is_21_crossings("tcp:btree");
+}
+
+#[test]
+fn remote_recovery_ships_smo_records_not_the_redo_window() {
+    // `smo_redo` reads SMO records only, so only they may cross: shipped
+    // whole, a long redo window outgrows the wire's frame cap and a
+    // proxied engine could never recover. An update-only window (no
+    // structure modification since the checkpoint) must send none.
+    let engine = Engine::build(config_for("remote:btree")).unwrap();
+    engine.checkpoint().unwrap();
+    let vsize = engine.config().row_value_size;
+    let t = engine.begin().unwrap();
+    for k in 0..400u64 {
+        engine.update(t, k, deterministic_value(k, 1, vsize)).unwrap();
+    }
+    engine.commit(t).unwrap();
+    engine.crash();
+
+    let fork = engine.fork_crashed().unwrap();
+    let report = fork.recover(RecoveryMethod::Log1).unwrap();
+    assert!(report.window_records >= 400, "the window holds every update");
+    let snap = fork.dc().wire_telemetry().unwrap();
+    let smo_redo = snap.ops.iter().find(|o| o.name() == "smo_redo").expect("Log1 runs SMO redo");
+    // Tag byte + a zero record count, per call.
+    assert_eq!(smo_redo.req_bytes, 5 * smo_redo.count, "data records crossed in smo_redo");
+    assert_eq!(fork.read(DEFAULT_TABLE, 399).unwrap().unwrap(), deterministic_value(399, 1, vsize));
+}
+
+// ---------------------------------------------------------------------
 // transport failure at the message boundary
 // ---------------------------------------------------------------------
 
@@ -462,25 +537,36 @@ fn remote_transport_drop_mid_prepare_is_a_clean_error_not_a_wedged_token() {
             value: vec![key as u8; 8],
         };
         let lsn = remote.wal().append(&payload);
-        remote.apply(&LogRecord { lsn, payload })
+        remote.apply(op, &LogRecord { lsn, payload })
     };
     insert(1).unwrap();
 
     // Park a prepare server-side (the proxy holds its token), then drop
     // the connection underneath it.
     let parked = remote.prepare_op(table, 2, WriteIntent::Insert { value_len: 8 }).unwrap();
+    let parked_pid = parked.pid;
     transport.disconnect();
     assert!(!transport.is_connected());
 
     // In-flight traffic fails with a clean, typed transport error — no
-    // panic, no hang.
-    match remote.read(table, 1) {
+    // panic, no hang — and so does the apply that consumes the parked op.
+    // Its guard stays armed, so the consumed op still attempts a release
+    // on the way out; over the dead transport that is harmless: the
+    // disconnect already released every server-side token.
+    let broken_pipe = |out: Result<(), Error>| match out {
         Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
         other => panic!("expected a broken-pipe error, got {other:?}"),
-    }
-    // Releasing the proxy guard over the dead transport is harmless: the
-    // disconnect already released every server-side token.
-    drop(parked);
+    };
+    broken_pipe(remote.read(table, 1).map(drop));
+    let payload = LogPayload::Insert {
+        txn: TxnId(1),
+        table,
+        key: 2,
+        pid: parked_pid,
+        prev_lsn: Lsn::NULL,
+        value: vec![2u8; 8],
+    };
+    broken_pipe(remote.apply(parked, &LogRecord { lsn: Lsn(u64::MAX >> 1), payload }));
 
     // Reconnect against a fresh server over the same component. If the
     // parked token had wedged its page latch, this prepare would hang or

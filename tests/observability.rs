@@ -282,6 +282,33 @@ fn every_stats_field_is_exported() {
     for c in lr_common::IoStats::COUNTER_NAMES {
         assert!(names.contains(&format!("io_{c}").as_str()), "io counter {c} missing");
     }
+
+    // A proxied engine also exports its client-side wire telemetry: one
+    // counter per request kind it has sent, and their total. (`metrics()`
+    // itself crosses the wire for the DC's stats, so the export may run
+    // one `stats` request ahead of the snapshot taken before it.)
+    assert!(!names.iter().any(|n| n.starts_with("dc_wire_")), "in process: nothing crosses");
+    let remote = Engine::build(EngineConfig {
+        initial_rows: 200,
+        io_model: lr_common::IoModel::zero(),
+        backend: "remote:btree".to_string(),
+        ..EngineConfig::default()
+    })
+    .expect("engine build")
+    .into_shared();
+    run_bank(&remote, 1, 5, 200);
+    let wire = remote.dc().wire_telemetry().expect("remote:* keeps wire telemetry");
+    let snap = remote.metrics();
+    for op in &wire.ops {
+        let exported = snap.counter(&format!("dc_wire_requests_{}", op.name()));
+        assert!(
+            exported >= Some(op.count),
+            "wire op {} missing or behind: {exported:?}",
+            op.name()
+        );
+    }
+    assert!(wire.ops.iter().any(|op| op.name() == "apply"), "the bank run wrote through the proxy");
+    assert!(snap.counter("dc_wire_requests") >= Some(wire.total_count()));
 }
 
 /// The maintenance service's metrics sampler: with a sampling period
