@@ -1,6 +1,9 @@
-//! Criterion micro-benchmarks for the substrate hot paths: slotted-page
-//! operations, B-tree traversal/insert, log append/scan/decode, DPT
-//! construction (all three builders), and a small end-to-end recovery.
+//! Criterion micro-benchmarks for substrate pieces no `lrbench` probe
+//! times: slotted-page operations, B-tree leaf lookup and in-place update,
+//! log encode/decode/scan, CRC, and DPT construction (all three builders).
+//! Point reads, log append and end-to-end recovery are measured on the
+//! real engine by `lrbench` (`btree.get_ns`, `wal.append_ns`,
+//! `recovery.wall_ms.*`).
 //!
 //! These measure *wall time* of the algorithms themselves (the figure
 //! harnesses measure *simulated* recovery time; see DESIGN.md §2).
@@ -8,7 +11,6 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use lr_buffer::BufferPool;
 use lr_common::{IoModel, Lsn, PageId, SimClock, TableId, TxnId};
-use lr_core::{Engine, EngineConfig, RecoveryMethod};
 use lr_dc::{build_dpt_aries, build_dpt_logical, build_dpt_sqlserver, DeltaDptMode};
 use lr_storage::{Page, PageType, SimDisk};
 use lr_wal::{DeltaRecord, LogPayload, LogRecord, Wal};
@@ -74,12 +76,6 @@ fn bench_btree(c: &mut Criterion) {
     let (pool, tree) = tree_fixture(100_000);
     let mut rng = StdRng::seed_from_u64(1);
     g.throughput(Throughput::Elements(1));
-    g.bench_function("get_100k_rows", |b| {
-        b.iter(|| {
-            let k = rng.gen_range(0..100_000);
-            tree.get(&pool, k).unwrap()
-        })
-    });
     g.bench_function("find_leaf_pid_100k_rows", |b| {
         b.iter(|| {
             let k = rng.gen_range(0..100_000);
@@ -110,10 +106,6 @@ fn bench_wal(c: &mut Criterion) {
         after: vec![2u8; 100],
     };
     g.throughput(Throughput::Elements(1));
-    g.bench_function("append_update_record", |b| {
-        let mut wal = Wal::new(8192);
-        b.iter(|| wal.append(&payload))
-    });
     g.bench_function("encode_decode_update_record", |b| {
         b.iter(|| {
             let bytes = payload.encode();
@@ -204,48 +196,5 @@ fn bench_dpt_builders(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_recovery_end_to_end(c: &mut Criterion) {
-    let mut g = c.benchmark_group("recovery_wall_time");
-    g.sample_size(10);
-    for method in [RecoveryMethod::Log1, RecoveryMethod::Sql1, RecoveryMethod::Log2] {
-        g.bench_function(format!("small_db_{}", method.name()), |b| {
-            b.iter_batched(
-                || {
-                    let cfg = EngineConfig {
-                        initial_rows: 8_000,
-                        pool_pages: 64,
-                        io_model: IoModel::default(),
-                        ..EngineConfig::default()
-                    };
-                    let engine = Engine::build(cfg).unwrap();
-                    let t = engine.begin().unwrap();
-                    for i in 0..500u64 {
-                        engine.update(t, (i * 37) % 8_000, vec![i as u8; 100]).unwrap();
-                    }
-                    engine.commit(t).unwrap();
-                    engine.checkpoint().unwrap();
-                    let t = engine.begin().unwrap();
-                    for i in 0..500u64 {
-                        engine.update(t, (i * 53) % 8_000, vec![i as u8; 100]).unwrap();
-                    }
-                    engine.commit(t).unwrap();
-                    engine.crash();
-                    engine
-                },
-                |engine| engine.recover(method).unwrap().breakdown.dpt_size,
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_slotted_page,
-    bench_btree,
-    bench_wal,
-    bench_dpt_builders,
-    bench_recovery_end_to_end
-);
+criterion_group!(benches, bench_slotted_page, bench_btree, bench_wal, bench_dpt_builders);
 criterion_main!(benches);

@@ -22,8 +22,13 @@ use lr_bench::prelude::*;
 use lr_core::{Engine, RecoveryOptions};
 use lr_workload::{run_concurrent, spill_concurrent};
 
+/// `LR_RECOVERY_WORKERS`, at least 2 (absent or unparsable means 2).
 fn env_workers() -> usize {
-    RecoveryOptions::from_env().workers.max(2)
+    std::env::var("LR_RECOVERY_WORKERS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(2)
+        .max(2)
 }
 
 struct JsonRow {

@@ -330,9 +330,9 @@ impl Drop for FrameWrite<'_> {
 /// of the very writer it is waiting on.
 ///
 /// Tuned against the measured restart distributions
-/// (`EngineStats::{read,write}_restart_hist` from the writepath /
-/// throughput runs): observed restart depth never exceeds 3 even at
-/// 8 threads over a 2k-key table, and the p50 write critical section is
+/// (`EngineStats::{read,write}_restart_hist`): observed restart depth
+/// never exceeds 3 even at 8 threads over a 2k-key table, and the p50
+/// write critical section is
 /// ~4 µs — so the yield tier covers the entire observed depth and the
 /// sleep tier, which only the pathological tail reaches, starts near the
 /// critical-section scale (5 µs) instead of 2.5× above it.

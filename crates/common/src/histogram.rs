@@ -5,6 +5,11 @@
 //! modes ("prefetching reduces stalls ... by two orders of magnitude",
 //! §5.3). A log₂ histogram captures that shape without recording every
 //! sample.
+//!
+//! What the type is: exact `count` / `sum` / `max` plus the log₂ bucket
+//! shape, for export through the metrics registry and the DC wire. It is
+//! *not* a percentile source — a bucket ceiling (1023, 2047, …) is not a
+//! measurement. Percentiles come from `lrbench`'s sorted samples.
 
 /// Histogram over `u64` values with power-of-two buckets:
 /// bucket *i* holds values in `[2^i, 2^(i+1))` (bucket 0 holds 0 and 1).
@@ -64,23 +69,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Smallest value `v` such that at least `q` (0..=1) of samples are <= v
-    /// (upper bucket bound — conservative).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return (1u64 << (i + 1)).saturating_sub(1).min(self.max);
-            }
-        }
-        self.max
     }
 
     /// Difference `self - earlier`, for windowed measurement. Buckets,
@@ -189,18 +177,6 @@ mod tests {
         h.record(1024);
         let nz = h.nonzero_buckets();
         assert_eq!(nz, vec![(0, 2), (2, 2), (1024, 1)]);
-    }
-
-    #[test]
-    fn quantiles_bracket_the_distribution() {
-        let mut h = Histogram::new();
-        for _ in 0..99 {
-            h.record(10);
-        }
-        h.record(100_000);
-        assert!(h.quantile(0.5) < 100);
-        assert_eq!(h.quantile(1.0), 100_000);
-        assert_eq!(Histogram::new().quantile(0.5), 0);
     }
 
     #[test]

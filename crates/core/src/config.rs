@@ -43,7 +43,9 @@ pub struct EngineConfig {
     /// cleaner hook advisory: sessions stop paying flush sweeps inside
     /// their own operations.
     pub background_maintenance: bool,
-    /// Maintenance policy-loop tick, in milliseconds of real time.
+    /// Maintenance policy-loop tick, in milliseconds of real time. The
+    /// lazywriter/compactor interval starts here, doubles (to 64×) while
+    /// sweeps find no work and halves back while they do.
     pub maint_tick_ms: u64,
     /// Background checkpoint interval in milliseconds of real time
     /// (0 disables the timer; the log-bytes policy still applies).
@@ -55,15 +57,13 @@ pub struct EngineConfig {
     pub merge_min_fill: f64,
     /// Serve point reads / range scans through the latch-free optimistic
     /// (OLC) descent first, with the latched path as fallback (see
-    /// `lr_dc::DcConfig::optimistic_reads`). On by default; the
-    /// `LR_READ_OPTIMISTIC=0` bench knob turns it off for A/B runs.
+    /// `lr_dc::DcConfig::optimistic_reads`). On by default.
     pub optimistic_reads: bool,
     /// Stage eligible writes through the OLC prepare path: latch-free
     /// root→leaf descent under the shared table latch, version-validated
     /// write upgrade of the leaf frame only, bounded restarts, latched
     /// fallback (see `lr_dc::DcConfig::optimistic_writes`). On by
-    /// default; the `LR_WRITE_OPTIMISTIC=0` bench knob turns it off for
-    /// A/B runs.
+    /// default.
     pub optimistic_writes: bool,
     /// Which registered data-component backend serves this engine
     /// (`lr_dc::backend_names()`): `"btree"` — the default clustered
@@ -89,28 +89,18 @@ pub struct EngineConfig {
     /// accounting and compaction horizons — only whole cold segments are
     /// sealed.
     pub log_segment_bytes: u64,
-    /// Log-structured backend: capacity (entries) of the offset-granular
-    /// read cache over log-resident versions. 0 disables the cache.
-    pub log_read_cache: usize,
-    /// Adapt the maintenance tick to load: the lazywriter/compactor
-    /// interval halves (toward `maint_tick_ms`) while sweeps find work
-    /// and doubles (toward 64× `maint_tick_ms`) while they find none,
-    /// instead of polling at a fixed rate.
-    pub adaptive_maintenance: bool,
     /// Device latency model.
     pub io_model: IoModel,
     /// Modelled real-time latency of one commit-time log force, in µs
     /// (0 = instant). Group commit shares one force across concurrent
-    /// committers, so this is what the `throughput` bench amortizes.
+    /// committers.
     pub commit_force_us: u64,
     /// Enable the structured trace journal (`lr_obs::TraceSink`): every
     /// subsystem emits typed events into per-thread lock-free rings,
     /// drained via `Engine::drain_trace` / `Engine::drain_trace_json`.
-    /// Off by default — instrumented paths then pay only a branch.
+    /// Off by default — instrumented paths then pay only a branch. A
+    /// full ring drops (and counts) instead of blocking.
     pub trace: bool,
-    /// Approximate journal capacity in events when `trace` is on; a full
-    /// ring drops (and counts) instead of blocking.
-    pub trace_capacity: usize,
     /// Background metrics-sampling period in milliseconds of real time:
     /// the maintenance service appends an `Engine::metrics` snapshot to
     /// the in-memory time series (`Engine::metrics_history`) this often.
@@ -143,12 +133,9 @@ impl Default for EngineConfig {
             backend: lr_dc::BTREE_BACKEND.to_string(),
             garbage_watermark: 0.5,
             log_segment_bytes: 64 << 10,
-            log_read_cache: 1024,
-            adaptive_maintenance: true,
             io_model: IoModel::default(),
             commit_force_us: 0,
             trace: false,
-            trace_capacity: 1 << 16,
             metrics_sample_ms: 0,
         }
     }

@@ -200,9 +200,11 @@ fn dc_config(cfg: &EngineConfig) -> DcConfig {
         optimistic_writes: cfg.optimistic_writes,
         garbage_watermark: cfg.garbage_watermark,
         log_segment_bytes: cfg.log_segment_bytes,
-        log_read_cache: cfg.log_read_cache,
     }
 }
+
+/// Approximate journal capacity, in events, of an engine's trace sink.
+const TRACE_CAPACITY: usize = 1 << 16;
 
 /// Build the trace sink an engine config asks for and plumb it into the
 /// subsystems that emit on their own (DC → pool, WAL). Disabled configs
@@ -212,7 +214,7 @@ fn plumb_trace(cfg: &EngineConfig, dc: &dyn DcApi, wal: &SharedWal) -> TraceSink
     if !cfg.trace {
         return TraceSink::disabled();
     }
-    let sink = TraceSink::enabled(cfg.trace_capacity);
+    let sink = TraceSink::enabled(TRACE_CAPACITY);
     dc.set_trace(sink.clone());
     wal.set_trace(sink.clone());
     sink

@@ -62,19 +62,16 @@ pub(crate) struct MaintCounters {
 /// interval halves (toward the configured floor) while sweeps find work
 /// and doubles (toward 64× the floor) while they find none — bursts get
 /// serviced at full rate, idle engines stop paying a fixed polling tax.
-/// With `adaptive` off the interval is pinned to the floor, which is the
-/// pre-existing fixed-tick behaviour.
 pub(crate) struct Pacing {
-    adaptive: bool,
     min: Duration,
     max: Duration,
     cur: Duration,
 }
 
 impl Pacing {
-    pub(crate) fn new(min: Duration, adaptive: bool) -> Pacing {
+    pub(crate) fn new(min: Duration) -> Pacing {
         let min = min.max(Duration::from_millis(1));
-        Pacing { adaptive, min, max: min * 64, cur: min }
+        Pacing { min, max: min * 64, cur: min }
     }
 
     /// The interval to park for before the next sweep.
@@ -84,9 +81,6 @@ impl Pacing {
 
     /// Feed back whether the last sweep found work.
     pub(crate) fn observe(&mut self, did_work: bool) {
-        if !self.adaptive {
-            return;
-        }
         self.cur =
             if did_work { (self.cur / 2).max(self.min) } else { (self.cur * 2).min(self.max) };
     }
@@ -157,7 +151,7 @@ impl Engine {
         {
             let weak = Arc::downgrade(self);
             let signal = signal.clone();
-            let pacing = Pacing::new(tick, self.cfg.adaptive_maintenance);
+            let pacing = Pacing::new(tick);
             threads.push(
                 std::thread::Builder::new()
                     .name("lr-lazywriter".into())
@@ -399,7 +393,7 @@ mod tests {
     #[test]
     fn pacing_shortens_on_bursts_and_lengthens_when_idle() {
         let floor = Duration::from_millis(4);
-        let mut p = super::Pacing::new(floor, true);
+        let mut p = super::Pacing::new(floor);
         assert_eq!(p.tick(), floor, "starts at the floor");
         // Idle: the interval doubles each quiet sweep, capped at 64×.
         let mut last = p.tick();
@@ -419,18 +413,6 @@ mod tests {
             p.observe(true);
         }
         assert_eq!(p.tick(), floor, "sustained work pins the floor");
-    }
-
-    #[test]
-    fn fixed_pacing_ignores_observations() {
-        let floor = Duration::from_millis(4);
-        let mut p = super::Pacing::new(floor, false);
-        for _ in 0..10 {
-            p.observe(false);
-        }
-        assert_eq!(p.tick(), floor);
-        p.observe(true);
-        assert_eq!(p.tick(), floor);
     }
 
     #[test]

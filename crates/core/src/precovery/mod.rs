@@ -70,16 +70,6 @@ impl RecoveryOptions {
     pub fn with_workers(workers: usize) -> RecoveryOptions {
         RecoveryOptions { workers: workers.max(1) }
     }
-
-    /// Read `LR_RECOVERY_WORKERS` from the environment (the knob the
-    /// bench bins and CI use); absent or unparsable means serial.
-    pub fn from_env() -> RecoveryOptions {
-        let workers = std::env::var("LR_RECOVERY_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1);
-        RecoveryOptions::with_workers(workers)
-    }
 }
 
 #[cfg(test)]

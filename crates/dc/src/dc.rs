@@ -114,13 +114,12 @@ pub struct DcConfig {
     /// Serve point reads and range scans through the latch-free optimistic
     /// (OLC) descent first, falling back to the latched path on validation
     /// failure. On by default; turn off to force every read through the
-    /// table-latch + frame-latch path (the `readpath` bench's A/B knob).
+    /// table-latch + frame-latch path.
     pub optimistic_reads: bool,
     /// Stage eligible writes through the OLC prepare path: optimistic
     /// descent under the shared table latch, version-validated write
     /// upgrade of the leaf frame only. On by default; turn off to force
-    /// every prepare through the latched descent (the `writepath` bench's
-    /// A/B knob).
+    /// every prepare through the latched descent.
     pub optimistic_writes: bool,
     /// Log-structured backend: compaction trigger — compact once the cold
     /// log region's garbage fraction (1 − live/region) exceeds this.
@@ -129,9 +128,6 @@ pub struct DcConfig {
     /// accounting and compaction (compaction only seals whole segments;
     /// the log's current segment is never compacted).
     pub log_segment_bytes: u64,
-    /// Log-structured backend: capacity (entries) of the offset → value
-    /// read cache. 0 disables it.
-    pub log_read_cache: usize,
 }
 
 impl Default for DcConfig {
@@ -149,7 +145,6 @@ impl Default for DcConfig {
             optimistic_writes: true,
             garbage_watermark: 0.5,
             log_segment_bytes: 64 << 10,
-            log_read_cache: 1024,
         }
     }
 }

@@ -69,6 +69,8 @@ use std::sync::Arc;
 const TABLE_LATCHES: usize = 16;
 /// Read-cache shards (offset-keyed, so any small power of two spreads).
 const CACHE_SHARDS: usize = 8;
+/// Read-cache capacity, in entries, across all shards.
+const READ_CACHE_ENTRIES: usize = 1024;
 /// Fill budget for sealed pages built by compaction / bulk load.
 const SEALED_FILL: f64 = 0.9;
 /// Fixed per-record estimate (frame header + payload fields besides the
@@ -183,7 +185,6 @@ fn record_value(rec: &LogRecord, table: TableId, key: Key) -> Result<Value> {
 /// truncation can reuse offsets across a crash boundary).
 struct ReadCache {
     shards: Vec<Mutex<CacheShard>>,
-    per_shard: usize,
 }
 
 #[derive(Default)]
@@ -193,11 +194,8 @@ struct CacheShard {
 }
 
 impl ReadCache {
-    fn new(capacity: usize) -> ReadCache {
-        ReadCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(CacheShard::default())).collect(),
-            per_shard: capacity.div_ceil(CACHE_SHARDS),
-        }
+    fn new() -> ReadCache {
+        ReadCache { shards: (0..CACHE_SHARDS).map(|_| Mutex::new(CacheShard::default())).collect() }
     }
 
     #[inline]
@@ -206,20 +204,14 @@ impl ReadCache {
     }
 
     fn get(&self, lsn: Lsn) -> Option<Value> {
-        if self.per_shard == 0 {
-            return None;
-        }
         self.shard(lsn).lock().map.get(&lsn.0).cloned()
     }
 
     fn put(&self, lsn: Lsn, value: Value) {
-        if self.per_shard == 0 {
-            return;
-        }
         let mut s = self.shard(lsn).lock();
         if s.map.insert(lsn.0, value).is_none() {
             s.fifo.push_back(lsn.0);
-            if s.fifo.len() > self.per_shard {
+            if s.fifo.len() > READ_CACHE_ENTRIES / CACHE_SHARDS {
                 if let Some(old) = s.fifo.pop_front() {
                     s.map.remove(&old);
                 }
@@ -373,7 +365,6 @@ impl LogDc {
         });
         let pool = BufferPool::new(disk, cfg.pool_pages, provider);
         let catalog = Catalog::load(&pool)?;
-        let read_cache = ReadCache::new(cfg.log_read_cache);
         let dc = LogDc {
             pool,
             catalog: Mutex::new(catalog),
@@ -385,7 +376,7 @@ impl LogDc {
             stats: DcCounters::default(),
             table_latches: (0..TABLE_LATCHES).map(|_| Latch::new()).collect::<Vec<_>>().into(),
             seg_live: Mutex::new(HashMap::new()),
-            read_cache,
+            read_cache: ReadCache::new(),
         };
         dc.load_all_skeletons()?;
         dc.pool.take_events();

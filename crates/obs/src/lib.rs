@@ -3,8 +3,7 @@
 //! Unified observability layer for the logical-recovery engine: a
 //! low-overhead structured **trace journal** ([`trace`]), a **metrics
 //! registry** unifying every stats struct behind one snapshot type
-//! ([`metrics`]), a dependency-free **JSON** value/parser ([`json`]) and
-//! the shared **bench summary** exporter ([`bench`]).
+//! ([`metrics`]) and a dependency-free **JSON** value/parser ([`json`]).
 //!
 //! The paper's evaluation is measurement-driven (redo time, DPT size,
 //! stall behaviour — §5.3, Appendices B–C); this crate is the engine's
@@ -22,12 +21,10 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod metrics;
 pub mod trace;
 
-pub use bench::BenchSummary;
 pub use json::Json;
 pub use metrics::{MetricValue, MetricsSnapshot};
 pub use trace::{EventKind, RecoveryPhase, TraceEvent, TraceSink};

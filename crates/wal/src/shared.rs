@@ -26,7 +26,7 @@ use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Group-commit counters (observability for the throughput bench).
+/// Group-commit counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GroupCommitStats {
     /// Log forces actually performed (leader path).
@@ -153,9 +153,8 @@ impl SharedWal {
         let _ = self.inner.trace.set(sink);
     }
 
-    /// Model a per-force device latency (real time). The throughput bench
-    /// uses this to expose group-commit amortization; correctness tests
-    /// leave it at 0.
+    /// Model a per-force device latency (real time), which concurrent
+    /// committers share through group commit; 0 (the default) is instant.
     pub fn set_force_latency_us(&self, us: u64) {
         self.inner.force_latency_us.store(us, Ordering::Relaxed);
     }

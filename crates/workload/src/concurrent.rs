@@ -2,17 +2,16 @@
 //! transaction, with no-wait conflict retry.
 //!
 //! The paper's evaluation drives one stream; the session-based engine can
-//! take one stream *per thread*. This driver is both the correctness
-//! harness for `tests/concurrent_sessions.rs` and the measurement loop of
-//! the `throughput` bench bin: every thread runs the same deterministic
-//! generator shape (shifted seed), counts commits and conflict retries,
-//! and the run reports committed-transaction throughput.
+//! take one stream *per thread*. This driver is the multi-session load
+//! behind `tests/{recovery_equivalence,maintenance,optimistic_*}.rs` and
+//! the `precovery` bin's spill crash: every thread runs the same
+//! deterministic generator shape (shifted seed) and counts commits and
+//! conflict retries. It takes no timings — `lrbench` does.
 
 use crate::gen::{Op, TxnGenerator, WorkloadSpec};
 use lr_common::Result;
 use lr_core::{Engine, Session, DEFAULT_TABLE};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Parameters for a concurrent run.
 #[derive(Clone, Debug)]
@@ -44,9 +43,9 @@ impl ConcurrentScenario {
     }
 
     /// Read-mostly preset: 95% point reads / 5% updates, uniform keys —
-    /// the workload the latch-free optimistic read path is built for (the
-    /// `readpath` bench's measurement mix; updates keep the frame version
-    /// counters moving so validation is actually exercised).
+    /// the workload the latch-free optimistic read path is built for
+    /// (updates keep the frame version counters moving so validation is
+    /// actually exercised).
     pub fn read_mostly(threads: usize, txns_per_thread: u64, key_space: u64) -> Self {
         use crate::gen::{KeyDist, OpMix};
         ConcurrentScenario {
@@ -80,20 +79,9 @@ pub struct ConcurrentReport {
     pub threads: usize,
     pub committed: u64,
     pub conflict_retries: u64,
-    pub wall: std::time::Duration,
     pub per_thread: Vec<ThreadReport>,
     /// Log forces vs. commits (group-commit effectiveness).
     pub log_forces: u64,
-}
-
-impl ConcurrentReport {
-    /// Committed transactions per wall-clock second.
-    pub fn committed_per_sec(&self) -> f64 {
-        if self.wall.as_secs_f64() == 0.0 {
-            return 0.0;
-        }
-        self.committed as f64 / self.wall.as_secs_f64()
-    }
 }
 
 /// One worker loop: `txns` transactions from `gen`, retried on conflicts.
@@ -126,7 +114,7 @@ fn worker(
 }
 
 /// Run the scenario against a shared engine. Returns per-thread and
-/// aggregate counts plus wall time.
+/// aggregate counts.
 ///
 /// Inserts in the mix use per-thread key bands (thread i inserts keys
 /// `key_space * (i + 1) * 1e6 + n`) so generators on different threads
@@ -136,7 +124,6 @@ pub fn run_concurrent(
     scenario: &ConcurrentScenario,
 ) -> Result<ConcurrentReport> {
     let forces_before = engine.wal().group_commit_stats().forces;
-    let start = Instant::now();
     let mut per_thread: Vec<ThreadReport> = Vec::with_capacity(scenario.threads);
     let ckpt_every = scenario.checkpoint_every;
 
@@ -178,14 +165,12 @@ pub fn run_concurrent(
         Ok(())
     })?;
 
-    let wall = start.elapsed();
     let committed = per_thread.iter().map(|r| r.committed).sum();
     let conflict_retries = per_thread.iter().map(|r| r.conflict_retries).sum();
     Ok(ConcurrentReport {
         threads: scenario.threads,
         committed,
         conflict_retries,
-        wall,
         per_thread,
         log_forces: engine.wal().group_commit_stats().forces - forces_before,
     })

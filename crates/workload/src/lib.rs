@@ -13,7 +13,8 @@
 //!   `paper_tenth`, `paper_full`);
 //! * [`report`] — plain-text table/CSV formatting for the figure harnesses;
 //! * [`concurrent`] — the K-session driver: per-thread generators with
-//!   no-wait conflict retry, feeding the `throughput` bench bin.
+//!   no-wait conflict retry, feeding `tests/recovery_equivalence.rs` and
+//!   the `precovery` bin.
 
 pub mod concurrent;
 pub mod gen;

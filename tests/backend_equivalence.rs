@@ -18,6 +18,8 @@
 //! * the bank invariant — concurrent sessions transferring money, crash
 //!   with a transfer in flight, recover: conservation holds on every
 //!   backend, including through the proxy;
+//! * the durable-byte bill — the same §5.2 update stream costs the log
+//!   backend strictly fewer log + page-write bytes than the B-tree;
 //! * the crossing counts — a committed 10-update transaction through a
 //!   proxy is exactly 10 `PrepareOp` + 10 `Apply` + 1 `Eosl` and no
 //!   `ReleaseOp`, and recovery's `smo_redo` ships SMO records, not the
@@ -31,6 +33,7 @@ use lr_core::config::deterministic_value;
 use lr_core::{
     Engine, EngineConfig, RecoveryMethod, RecoveryOptions, Session, ShadowDb, DEFAULT_TABLE,
 };
+use lr_workload::{Op, TxnGenerator, WorkloadSpec};
 use std::sync::Arc;
 
 const BACKENDS: [&str; 6] = ["btree", "hash", "log", "remote:btree", "remote:hash", "remote:log"];
@@ -411,6 +414,60 @@ fn compactor_races_writers_without_losing_updates_on_the_log_backend() {
         assert_eq!(got, deterministic_value(k, ROUNDS, vsize), "key {k}: lost update");
     }
     engine.verify_table(DEFAULT_TABLE).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// append amplification: the log is the store (log backend vs B-tree)
+// ---------------------------------------------------------------------
+
+/// `(log bytes, page-write bytes)` the §5.2 update stream costs on
+/// `backend` after the load. One session, fixed seed, no background
+/// maintenance, a checkpoint every 50 transactions: the bill is a count
+/// that repeats exactly. 800 × 10 uniform updates over 2,000 keys is 4
+/// versions per key, so the B-tree re-dirties its leaves between
+/// checkpoints.
+fn durable_bill(backend: &str) -> (u64, u64) {
+    let cfg = EngineConfig {
+        initial_rows: 2_000,
+        pool_pages: 1_024,
+        io_model: IoModel::zero(),
+        backend: backend.to_string(),
+        ..EngineConfig::default()
+    };
+    let spec = WorkloadSpec::paper_default(cfg.initial_rows, cfg.row_value_size, 7);
+    let page_size = cfg.page_size as u64;
+    let engine = Engine::build(cfg).unwrap();
+    let bill = |e: &Engine| (e.wal().lock().byte_len(), e.dc().pool().disk().stats().page_writes);
+    let (log0, writes0) = bill(&engine);
+    let mut gen = TxnGenerator::new(spec);
+    for n in 1..=800 {
+        let t = engine.begin().unwrap();
+        for op in gen.next_txn() {
+            let Op::Update { key, value } = op else { panic!("§5.2 is update-only: {op:?}") };
+            engine.update(t, key, value).unwrap();
+        }
+        engine.commit(t).unwrap();
+        if n % 50 == 0 {
+            engine.checkpoint().unwrap();
+        }
+    }
+    let (log1, writes1) = bill(&engine);
+    (log1 - log0, (writes1 - writes0) * page_size)
+}
+
+/// LogBase's trade: a write costs its log record and no page write, where
+/// the B-tree also pays every data page its checkpoints and cleaner
+/// sweeps flush. A `LogDc` that dirtied a data page per write fails here.
+#[test]
+fn log_backend_writes_fewer_durable_bytes_per_update_than_btree() {
+    let (btree_log, btree_pages) = durable_bill("btree");
+    let (log_log, log_pages) = durable_bill("log");
+    assert!(btree_pages > 0, "the B-tree flushed no page: the comparison is vacuous");
+    assert!(
+        log_log + log_pages < btree_log + btree_pages,
+        "log {log_log} + {log_pages} page bytes not below btree {btree_log} + {btree_pages}"
+    );
+    assert!(log_pages * 10 < log_log + log_pages, "log backend page bytes {log_pages} ≥ 10%");
 }
 
 #[test]

@@ -217,9 +217,9 @@ fn optimistic_reads_under_churn_observe_only_committed_values() {
     }
 }
 
-/// The read-mostly concurrent preset drives the same engine API the
-/// `readpath` bench measures; with optimistic reads on (the default) the
-/// run must both commit everything and serve reads latch-free.
+/// With optimistic reads on (the default) a run of the read-mostly
+/// concurrent preset must both commit everything and serve reads
+/// latch-free.
 #[test]
 fn read_mostly_preset_serves_reads_optimistically() {
     let engine = Engine::build(EngineConfig {
@@ -247,8 +247,8 @@ fn read_mostly_preset_serves_reads_optimistically() {
 }
 
 /// A/B switch: with `optimistic_reads` off the engine must never touch
-/// the optimistic machinery (the latched path is the baseline the
-/// `readpath` gate compares against).
+/// the optimistic machinery (the latched path is the fallback, and what
+/// `lrbench` times as `btree.get_ns` beside `btree.get_optimistic_ns`).
 #[test]
 fn disabled_optimistic_reads_never_engage() {
     let engine = Engine::build(EngineConfig {

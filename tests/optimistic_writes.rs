@@ -191,8 +191,8 @@ fn optimistic_writes_under_churn_lose_no_updates() {
 }
 
 /// A/B switch: with `optimistic_writes` off the engine must never touch
-/// the optimistic prepare machinery (the latched path is the baseline the
-/// `writepath` gate compares against).
+/// the optimistic prepare machinery (the latched path is the fallback and
+/// this suite's reference).
 #[test]
 fn disabled_optimistic_writes_never_engage() {
     let engine = Engine::build(EngineConfig {
