@@ -747,6 +747,141 @@ mod tests {
         );
     }
 
+    /// A fixed crash under the default (costed) I/O model: a checkpoint,
+    /// a few hundred updates plus appends that split leaves, one loser.
+    /// Single-threaded with no background maintenance, so every modeled
+    /// charge is a function of the seed.
+    fn pinned_crash() -> Engine {
+        let e = Engine::build(EngineConfig {
+            initial_rows: 20_000,
+            pool_pages: 256,
+            dirty_batch_cap: 16,
+            flush_batch_cap: 16,
+            aries_ckpt_capture: true,
+            perfect_delta_lsns: true,
+            io_model: lr_common::IoModel::default(),
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        e.checkpoint().unwrap();
+        let vsize = e.config().row_value_size;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..400u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = x % 20_000;
+            let t = e.begin().unwrap();
+            e.update(t, key, crate::config::deterministic_value(key, i + 1, vsize)).unwrap();
+            if i % 2 == 0 {
+                let nk = 20_000 + i;
+                e.insert(t, nk, crate::config::deterministic_value(nk, 0, vsize)).unwrap();
+            }
+            e.commit(t).unwrap();
+        }
+        let loser = e.begin().unwrap();
+        for key in [5, 1_234, 19_999] {
+            e.update(loser, key, crate::config::deterministic_value(key, 999, vsize)).unwrap();
+        }
+        e.crash();
+        e
+    }
+
+    /// The breakdown fields the pin covers, in `PINNED` column order.
+    fn pinned_fields(b: &RecoveryBreakdown) -> [u64; 16] {
+        [
+            b.redo_us,
+            b.analysis_us,
+            b.smo_redo_us,
+            b.index_preload_us,
+            b.undo_us,
+            b.dpt_size,
+            b.data_pages_fetched,
+            b.index_pages_fetched,
+            b.data_stall_us,
+            b.prefetch_pages,
+            b.prefetch_ios,
+            b.skipped_no_dpt_entry,
+            b.skipped_rlsn,
+            b.skipped_plsn,
+            b.tail_records,
+            b.ops_reapplied,
+        ]
+    }
+
+    /// Serial recovery's modeled numbers, per method, for `pinned_crash`.
+    /// Columns: redo, analysis, smo-redo, preload, undo (µs), DPT size,
+    /// data / index pages fetched, data stall µs, prefetch pages / I/Os,
+    /// skipped no-entry / rLSN / pLSN, tail records, ops re-applied.
+    const PINNED: [(RecoveryMethod, [u64; 16]); 9] = [
+        (
+            RecoveryMethod::Log0,
+            [2414225, 20930, 104000, 0, 2000, 0, 295, 4, 2360000, 0, 0, 0, 0, 514, 0, 89],
+        ),
+        (
+            RecoveryMethod::Log1,
+            [558225, 20930, 104000, 0, 2000, 62, 63, 4, 504000, 0, 0, 439, 59, 16, 12, 89],
+        ),
+        (
+            RecoveryMethod::Log2,
+            [130316, 20930, 104000, 18000, 2000, 62, 63, 0, 108091, 59, 57, 439, 59, 16, 12, 89],
+        ),
+        (
+            RecoveryMethod::Sql1,
+            [565055, 20930, 0, 0, 18000, 68, 67, 1, 536000, 0, 0, 451, 44, 0, 0, 141],
+        ),
+        (
+            RecoveryMethod::Sql2,
+            [107846, 20930, 0, 0, 18000, 68, 67, 1, 78863, 68, 68, 451, 44, 0, 0, 141],
+        ),
+        (
+            RecoveryMethod::AriesCkpt,
+            [2477055, 20930, 0, 0, 18000, 305, 306, 1, 2448000, 0, 0, 0, 0, 495, 0, 141],
+        ),
+        (
+            RecoveryMethod::LogPerfect,
+            [558225, 20930, 104000, 0, 2000, 62, 63, 4, 504000, 0, 0, 439, 75, 0, 12, 89],
+        ),
+        (
+            RecoveryMethod::LogReduced,
+            [558225, 20930, 104000, 0, 2000, 62, 63, 4, 504000, 0, 0, 439, 59, 16, 12, 89],
+        ),
+        (
+            RecoveryMethod::Log2DptPrefetch,
+            [130339, 20930, 104000, 18000, 2000, 62, 63, 0, 108114, 59, 55, 439, 59, 16, 12, 89],
+        ),
+    ];
+
+    #[test]
+    fn serial_breakdown_is_pinned_for_every_method() {
+        let e = pinned_crash();
+        let mut serial = std::collections::HashMap::new();
+        let mut got = Vec::new();
+        for (method, _) in PINNED {
+            let report = e.fork_crashed().unwrap().recover(method).unwrap();
+            got.push((method, pinned_fields(&report.breakdown)));
+            serial.insert(method, report.breakdown);
+        }
+        assert_eq!(got, PINNED, "one row per method, in PINNED order");
+        // The partitioned sink screens exactly what the inline one does.
+        let screen = |b: &RecoveryBreakdown| {
+            [
+                b.redo_records_seen,
+                b.skipped_no_dpt_entry,
+                b.skipped_rlsn,
+                b.tail_records,
+                b.skipped_plsn + b.ops_reapplied,
+            ]
+        };
+        for method in [RecoveryMethod::Log1, RecoveryMethod::Sql1] {
+            let fork = e.fork_crashed().unwrap();
+            let report = fork
+                .recover_with(method, crate::precovery::RecoveryOptions::with_workers(2))
+                .unwrap();
+            assert_eq!(screen(&report.breakdown), screen(&serial[&method]), "{method}");
+        }
+    }
+
     #[test]
     fn crash_before_anchor_publication_still_starts_at_newest_checkpoint() {
         // The eCkpt record is forced, the crash comes before its bCkpt is

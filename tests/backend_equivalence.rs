@@ -22,8 +22,8 @@
 //!   backend strictly fewer log + page-write bytes than the B-tree;
 //! * the crossing counts — a committed 10-update transaction through a
 //!   proxy is exactly 10 `PrepareOp` + 10 `Apply` + 1 `Eosl` and no
-//!   `ReleaseOp`, and recovery's `smo_redo` ships SMO records, not the
-//!   redo window;
+//!   `ReleaseOp`, recovery's `smo_redo` ships SMO records, not the redo
+//!   window, and a recovery's crossings per op are pinned per method;
 //! * the transport-drop probe — a prepare parked server-side when the
 //!   connection dies must surface a clean error (from the apply that
 //!   consumes it, too) and release its token, never a wedged latch.
@@ -558,6 +558,84 @@ fn remote_recovery_ships_smo_records_not_the_redo_window() {
     // Tag byte + a zero record count, per call.
     assert_eq!(smo_redo.req_bytes, 5 * smo_redo.count, "data records crossed in smo_redo");
     assert_eq!(fork.read(DEFAULT_TABLE, 399).unwrap().unwrap(), deterministic_value(399, 1, vsize));
+}
+
+/// The crossings one recovery makes, per op, for a fixed `remote:btree`
+/// crash: each of the paper's five methods serially, and Log1 on two redo
+/// workers. Moving redo behind the DC boundary is judged against these.
+#[test]
+fn remote_recovery_crossings_are_pinned_per_method() {
+    let cfg = config_for("remote:btree");
+    let mut shadow = ShadowDb::with_initial_rows(&cfg);
+    let engine = Engine::build(cfg).unwrap();
+    run_workload(&engine, &mut shadow);
+    // Committed work past the last checkpoint, appends splitting leaves,
+    // so the redo window holds data records and SMOs for every method.
+    let vsize = engine.config().row_value_size;
+    for i in 0..80u64 {
+        let t = engine.begin().unwrap();
+        let key = i * 17 % 1_500;
+        let value = deterministic_value(key, 9, vsize);
+        if engine.read(DEFAULT_TABLE, key).unwrap().is_some() {
+            engine.update(t, key, value).unwrap();
+        } else {
+            engine.insert(t, key, value).unwrap();
+        }
+        if i % 2 == 0 {
+            engine.insert(t, 2_500 + i, deterministic_value(2_500 + i, 0, vsize)).unwrap();
+        }
+        engine.commit(t).unwrap();
+    }
+    engine.crash();
+
+    let crossings = |method: RecoveryMethod, workers: usize| {
+        let fork = engine.fork_crashed().unwrap();
+        let before = wire_counts(&fork);
+        fork.recover_with(method, RecoveryOptions::with_workers(workers)).unwrap();
+        let delta: Vec<(&str, u64)> = wire_counts(&fork)
+            .iter()
+            .map(|(op, n)| (*op, n - before.get(op).copied().unwrap_or(0)))
+            .filter(|(_, n)| *n > 0)
+            .collect();
+        delta
+    };
+    let mut got = Vec::new();
+    for method in RecoveryMethod::paper_five() {
+        got.push((method.name(), 1, crossings(method, 1)));
+    }
+    got.push(("Log1", 2, crossings(RecoveryMethod::Log1, 2)));
+
+    // Every method: redo and undo applies, the two compensations' locate /
+    // latch / pump, the post-redo rebuild hook, the closing checkpoint.
+    let with = |extra: &[(&'static str, u64)]| {
+        let mut ops = vec![
+            ("apply_at", 22),
+            ("drain_in_flight_ops", 1),
+            ("eosl", 2),
+            ("finish_redo", 1),
+            ("locate_key", 2),
+            ("lock_table_exclusive", 2),
+            ("pump_events", 2),
+            ("release_table", 2),
+            ("rssp", 1),
+        ];
+        ops.extend_from_slice(extra);
+        ops.sort_unstable();
+        ops
+    };
+    // Logical redo resolves each of the window's 122 data records by key;
+    // physiological redo replays the window's two SMOs screened instead.
+    let logical = [("resolve_redo_pid", 122), ("smo_redo", 1)];
+    let physiological = [("reload_catalog", 1), ("replay_smo_screened", 2)];
+    let want = vec![
+        ("Log0", 1, with(&logical)),
+        ("Log1", 1, with(&logical)),
+        ("SQL1", 1, with(&physiological)),
+        ("Log2", 1, with(&[logical[0], logical[1], ("preload_index", 1)])),
+        ("SQL2", 1, with(&physiological)),
+        ("Log1", 2, with(&logical)),
+    ];
+    assert_eq!(got, want);
 }
 
 // ---------------------------------------------------------------------
