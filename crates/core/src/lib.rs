@@ -5,16 +5,20 @@
 //! from the data component (DC, `lr-dc`), plus the paper's full recovery
 //! spectrum, replayable **side-by-side against one common log**:
 //!
-//! | Method | Redo | DPT source | Prefetch |
-//! |---|---|---|---|
-//! | [`RecoveryMethod::Log0`] | logical (Alg. 2) | none | none |
-//! | [`RecoveryMethod::Log1`] | logical + DPT (Alg. 5) | Δ-log records (Alg. 4) | none |
-//! | [`RecoveryMethod::Log2`] | logical + DPT | Δ-log records | index preload + PF-list |
-//! | [`RecoveryMethod::Sql1`] | physiological (Alg. 1) | analysis pass (Alg. 3) | none |
-//! | [`RecoveryMethod::Sql2`] | physiological | analysis pass | log-driven |
-//! | [`RecoveryMethod::AriesCkpt`] | physiological | checkpointed DPT (§3.1) | none |
-//! | [`RecoveryMethod::LogPerfect`] | logical + DPT | Δ + DirtyLSNs (App. D.1) | none |
-//! | [`RecoveryMethod::LogReduced`] | logical + DPT | Δ without FW-LSN (App. D.2) | none |
+//! | Method | DPT source | Redo | Data prefetch | Index preload |
+//! |---|---|---|---|---|
+//! | [`RecoveryMethod::Log0`] | none | logical (Alg. 2) | none | no |
+//! | [`RecoveryMethod::Log1`] | Δ-log records (Alg. 4) | logical + DPT (Alg. 5) | none | no |
+//! | [`RecoveryMethod::Log2`] | Δ-log records | logical + DPT | PF-list | yes |
+//! | [`RecoveryMethod::Sql1`] | analysis pass (Alg. 3) | physiological (Alg. 1) | none | no |
+//! | [`RecoveryMethod::Sql2`] | analysis pass | physiological | log-driven | no |
+//! | [`RecoveryMethod::AriesCkpt`] | checkpointed DPT (§3.1) | physiological | none | no |
+//! | [`RecoveryMethod::LogPerfect`] | Δ + DirtyLSNs (App. D.1) | logical + DPT | none | no |
+//! | [`RecoveryMethod::LogReduced`] | Δ without FW-LSN (App. D.2) | logical + DPT | none | no |
+//! | [`RecoveryMethod::Log2DptPrefetch`] | Δ-log records | logical + DPT | DPT in rLSN order (App. A.2) | yes |
+//!
+//! These four columns are all a method is: `RecoveryMethod`'s method table
+//! maps each name to them, and one pipeline runs every row.
 //!
 //! ## Quickstart (single-threaded)
 //!

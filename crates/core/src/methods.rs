@@ -1,34 +1,315 @@
-//! The redo passes — one per family — and the prefetchers.
+//! Redo — one screen loop feeding one of two sinks — and the prefetchers.
 //!
-//! * [`physiological_redo`] is Algorithm 1 (ARIES/SQL-Server redo with the
-//!   optimized redo test), optionally with log-driven read-ahead (App. A.2,
-//!   "the prefetching scheme implemented in SQL Server").
-//! * [`logical_redo`] is Algorithm 2 when called without a DPT context
-//!   (Log0) and Algorithm 5 with one (Log1/Log2 and the Appendix-D
-//!   ablations), optionally with PF-list read-ahead.
-//! * Appendix A.1's index preload ("simply load all index pages into
-//!   memory at the beginning of DC recovery") lives on the trait as
-//!   [`lr_dc::DcApi::preload_index`] — each backend knows its own index.
-//!
-//! Every pass charges the simulated clock through the disk's timing hooks:
-//! per-record CPU, per-level traversal CPU, and the page I/O the buffer
-//! pool performs on its behalf.
+//! [`Screen::run`] is every method's redo pass. Per record it charges the
+//! per-record CPU, pumps the method's read-ahead, resolves the record's
+//! page, runs the redo test short of the pLSN comparison ([`Dpt::screen`]
+//! or the tail-of-log rule) and hands survivors to a [`RedoSink`]. Without
+//! a DPT that is Algorithm 2 (Log0), with a Δ-built one Algorithm 5
+//! (Log1/Log2, the Appendix-D ablations), resolving by logged PID and
+//! replaying SMOs in LSN order Algorithm 1 (SQL1/SQL2/ARIES-ckpt). The
+//! sink is [`redo_inline`]'s on one worker — the §5 measured path, one
+//! SimClock charged in program order — or [`crate::precovery`]'s
+//! partitioned one; both end in [`apply_one`].
+#![deny(clippy::too_many_lines)]
 
-use lr_common::{Lsn, PageId, RecoveryBreakdown, Result};
+use lr_common::{IoModel, Lsn, PageId, RecoveryBreakdown, Result};
 use lr_dc::{DcApi, Dpt, DptScreen, SmoBarrierOutcome};
 use lr_wal::{LogPayload, LogRecord};
 
-/// DPT context for DPT-assisted logical redo (Algorithm 5).
-pub struct LogicalCtx<'a> {
-    pub dpt: &'a Dpt,
-    /// TC-LSN of the last Δ-log record: records at or beyond it are the
-    /// "tail of the log" and use the basic fallback.
-    pub last_delta_tc_lsn: Lsn,
+/// Records to look ahead in log-driven prefetch (SQL2).
+const LOG_DRIVEN_LOOKAHEAD_RECORDS: usize = 128;
+/// Pages to keep in flight in list-driven prefetch (Log2, Log2-dptpf).
+const LIST_AHEAD_PAGES: u64 = 64;
+
+/// How redo finds the page a data record applies to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Family {
+    /// Algorithms 2 and 5: by key through the index (the logged PID is
+    /// advisory); DC recovery replayed the SMOs beforehand.
+    Logical,
+    /// Algorithm 1: the logged PID; redo itself replays SMO records.
+    Physiological,
 }
 
-// ----------------------------------------------------------------------
-// physiological redo (Algorithm 1)
-// ----------------------------------------------------------------------
+/// The data-page read-ahead a method runs during redo (Appendix A.2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Prefetch {
+    None,
+    /// The PF-list analysis assembles from Δ DirtySets (the paper's scheme).
+    PfList,
+    /// DPT pages in rLSN order (the described alternative).
+    DptOrder,
+    /// DPT-screened look-ahead over the log itself (SQL Server's scheme).
+    LogDriven,
+}
+
+/// Where redo's simulated cost lands.
+pub(crate) enum Meter {
+    /// The shared SimClock, in program order (the inline path). Device
+    /// stalls are already on it; only CPU is charged here.
+    Clock,
+    /// A private busy total (the dispatcher, or one worker): CPU plus the
+    /// device stalls this thread met.
+    Busy(u64),
+}
+
+impl Meter {
+    pub(crate) fn charge(&mut self, dc: &dyn DcApi, cpu_us: u64, stall_us: u64) {
+        match self {
+            Meter::Clock if cpu_us > 0 => dc.pool().disk_mut().charge_cpu(cpu_us),
+            Meter::Clock => {}
+            Meter::Busy(us) => *us += cpu_us + stall_us,
+        }
+    }
+
+    /// The busy total (zero on the inline path, whose time is the clock's).
+    pub(crate) fn busy_us(&self) -> u64 {
+        match self {
+            Meter::Clock => 0,
+            Meter::Busy(us) => *us,
+        }
+    }
+}
+
+/// The redo kernel every sink and worker runs: fetch `pid`, test its pLSN,
+/// apply `rec` when the page is older, and count which it was.
+pub(crate) fn apply_one(
+    dc: &dyn DcApi,
+    pid: PageId,
+    rec: &LogRecord,
+    cpu_apply_us: u64,
+    meter: &mut Meter,
+    bk: &mut RecoveryBreakdown,
+) -> Result<()> {
+    let fetched = dc.pool().fetch(pid)?;
+    // Stall-aware read: a concurrent eviction between the fetch and this
+    // latch means a refetch whose device stall counts too.
+    let (plsn, latched) = dc.pool().with_page_info(pid, |p| p.plsn())?;
+    let stall_us = fetched.stall_us + latched.stall_us;
+    if rec.lsn <= plsn {
+        meter.charge(dc, 0, stall_us);
+        bk.skipped_plsn += 1;
+        return Ok(());
+    }
+    meter.charge(dc, cpu_apply_us, stall_us);
+    dc.apply_at(pid, rec)?;
+    bk.ops_reapplied += 1;
+    Ok(())
+}
+
+/// Where [`Screen::run`] sends its work.
+pub(crate) trait RedoSink {
+    /// Where the loop's CPU and traversal stalls are charged.
+    fn meter(&mut self) -> &mut Meter;
+    /// Window record `idx` passed the screen: redo it at `pid`.
+    fn redo(&mut self, idx: usize, pid: PageId, bk: &mut RecoveryBreakdown) -> Result<()>;
+    /// A physiological SMO record, met in LSN order. By default already
+    /// replayed ([`smo_barrier`]).
+    fn smo(&mut self, _rec: &LogRecord, _dpt: &Dpt, _bk: &mut RecoveryBreakdown) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// Running read-ahead state.
+enum ReadAhead {
+    None,
+    List(PfListPrefetcher),
+    Log(LogDrivenPrefetcher),
+}
+
+/// One method's redo screen over one window, built once per recovery.
+pub(crate) struct Screen<'a> {
+    family: Family,
+    /// `None` for Log0: every data record reaches its page's pLSN test.
+    dpt: Option<&'a Dpt>,
+    /// Records at or past this LSN are the tail of the log (§4.3): the
+    /// DPT does not cover them, so redo decides by pLSN alone. `Lsn::MAX`
+    /// when the DPT covers the whole window.
+    tail_from: Lsn,
+    read_ahead: ReadAhead,
+}
+
+impl<'a> Screen<'a> {
+    pub(crate) fn new(
+        family: Family,
+        prefetch: Prefetch,
+        dpt: Option<&'a Dpt>,
+        tail_from: Lsn,
+        pf_list: Vec<PageId>,
+    ) -> Screen<'a> {
+        let read_ahead = match (prefetch, dpt) {
+            (Prefetch::PfList, Some(_)) => {
+                ReadAhead::List(PfListPrefetcher::new(pf_list, LIST_AHEAD_PAGES))
+            }
+            (Prefetch::DptOrder, Some(dpt)) => {
+                ReadAhead::List(PfListPrefetcher::in_rlsn_order(dpt, LIST_AHEAD_PAGES))
+            }
+            (Prefetch::LogDriven, Some(_)) => {
+                ReadAhead::Log(LogDrivenPrefetcher::new(LOG_DRIVEN_LOOKAHEAD_RECORDS))
+            }
+            _ => ReadAhead::None,
+        };
+        Screen { family, dpt, tail_from, read_ahead }
+    }
+
+    /// The one redo loop: screen every record of `window`, handing SMOs
+    /// (physiological family) and surviving data records to `sink`.
+    /// Screen counters go straight into `bk`.
+    pub(crate) fn run(
+        mut self,
+        dc: &dyn DcApi,
+        window: &[LogRecord],
+        sink: &mut impl RedoSink,
+        bk: &mut RecoveryBreakdown,
+    ) -> Result<()> {
+        let model = dc.pool().disk().io_model();
+        for (i, rec) in window.iter().enumerate() {
+            sink.meter().charge(dc, model.cpu_log_record_us, 0);
+            if let (ReadAhead::Log(pf), Some(dpt)) = (&mut self.read_ahead, self.dpt) {
+                pf.pump(dc, window, i, dpt, bk);
+            }
+            if let (LogPayload::Smo(_), Family::Physiological) = (&rec.payload, self.family) {
+                sink.smo(rec, self.dpt.expect("physiological methods build a DPT"), bk)?;
+            }
+            if !rec.payload.is_data_op() {
+                continue; // control records never redo
+            }
+            bk.redo_records_seen += 1;
+            if let (ReadAhead::List(pf), Some(dpt)) = (&mut self.read_ahead, self.dpt) {
+                let consumed = dc.pool().stats().data_page_misses;
+                pf.pump(dc, dpt, consumed, bk);
+            }
+            let pid = self.resolve(dc, rec, &model, sink.meter())?;
+            if self.passes(pid, rec.lsn, bk) {
+                sink.redo(i, pid, bk)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The page a data record applies to: the logged PID, or (logical
+    /// family, Alg. 5 line 4) whatever the backend resolves by key — a
+    /// traversal of internal pages for the B-tree (the leaf is not
+    /// fetched), the logged PID for a page-logical backend.
+    fn resolve(
+        &self,
+        dc: &dyn DcApi,
+        rec: &LogRecord,
+        model: &IoModel,
+        meter: &mut Meter,
+    ) -> Result<PageId> {
+        let logged = rec.payload.data_pid().expect("data op carries a PID");
+        if self.family == Family::Physiological {
+            return Ok(logged);
+        }
+        let (table, key) = match &rec.payload {
+            LogPayload::Update { table, key, .. }
+            | LogPayload::Insert { table, key, .. }
+            | LogPayload::Delete { table, key, .. }
+            | LogPayload::Clr { table, key, .. } => (*table, *key),
+            _ => unreachable!("is_data_op checked"),
+        };
+        let loc = dc.resolve_redo_pid(table, key, logged)?;
+        meter.charge(dc, model.cpu_btree_level_us * loc.levels as u64, loc.stall_us);
+        Ok(loc.pid)
+    }
+
+    /// The redo test short of the pLSN comparison (which needs the page):
+    /// the DPT and rLSN checks (Alg. 1; Alg. 5 lines 5–8), or the tail
+    /// rule.
+    fn passes(&self, pid: PageId, lsn: Lsn, bk: &mut RecoveryBreakdown) -> bool {
+        let Some(dpt) = self.dpt else { return true };
+        if lsn >= self.tail_from {
+            bk.tail_records += 1;
+            return true;
+        }
+        match dpt.screen(pid, lsn) {
+            DptScreen::SkipNoEntry => bk.skipped_no_dpt_entry += 1,
+            DptScreen::SkipRlsn => bk.skipped_rlsn += 1,
+            DptScreen::Fetch => return true,
+        }
+        false
+    }
+}
+
+/// The inline sink: survivors applied on the caller's thread, SMO records
+/// replayed in LSN order (§2.1: ARIES redo performs SMO recovery within
+/// the redo pass) — each page image DPT-screened, pLSN-guarded and
+/// installed whole.
+struct InlineSink<'w> {
+    dc: &'w dyn DcApi,
+    window: &'w [LogRecord],
+    cpu_apply_us: u64,
+    meter: Meter,
+    /// LSN of the last SMO that moved a root: the catalog is saved once.
+    root_moved: Option<Lsn>,
+}
+
+impl<'w> InlineSink<'w> {
+    fn new(dc: &'w dyn DcApi, window: &'w [LogRecord]) -> InlineSink<'w> {
+        let cpu_apply_us = dc.pool().disk().io_model().cpu_apply_us;
+        InlineSink { dc, window, cpu_apply_us, meter: Meter::Clock, root_moved: None }
+    }
+
+    fn finish(self) -> Result<()> {
+        self.root_moved.map_or(Ok(()), |lsn| self.dc.save_catalog(lsn))
+    }
+}
+
+impl RedoSink for InlineSink<'_> {
+    fn meter(&mut self) -> &mut Meter {
+        &mut self.meter
+    }
+
+    fn redo(&mut self, idx: usize, pid: PageId, bk: &mut RecoveryBreakdown) -> Result<()> {
+        apply_one(self.dc, pid, &self.window[idx], self.cpu_apply_us, &mut self.meter, bk)
+    }
+
+    fn smo(&mut self, rec: &LogRecord, dpt: &Dpt, bk: &mut RecoveryBreakdown) -> Result<()> {
+        let LogPayload::Smo(smo) = &rec.payload else { return Ok(()) };
+        let mut out = SmoBarrierOutcome::default();
+        let moved = self.dc.replay_smo_screened(rec.lsn, smo, dpt, &mut out)?;
+        self.root_moved = moved.or(self.root_moved);
+        // An SMO page image is redone or skipped exactly like a data record.
+        bk.ops_reapplied += out.pages_applied;
+        bk.skipped_no_dpt_entry += out.skipped_no_dpt_entry;
+        bk.skipped_rlsn += out.skipped_rlsn;
+        bk.skipped_plsn += out.skipped_plsn;
+        Ok(())
+    }
+}
+
+/// Serial redo: `screen` over `window` into the inline sink.
+pub(crate) fn redo_inline(
+    dc: &dyn DcApi,
+    window: &[LogRecord],
+    screen: Screen<'_>,
+    bk: &mut RecoveryBreakdown,
+) -> Result<()> {
+    let mut sink = InlineSink::new(dc, window);
+    screen.run(dc, window, &mut sink, bk)?;
+    sink.finish()
+}
+
+/// The partitioned pipeline's SMO barrier: the inline sink's SMO replay
+/// over the whole window, before any data record is routed. Workers cannot
+/// replay SMOs inline — an image install on a page a worker already redid
+/// past would roll its pLSN (and contents) backward — and hoisting them is
+/// state-equivalent: a data record ordered before an SMO image of the same
+/// page is subsumed by the image (it executed before the image was
+/// captured), and one ordered after it survives the pLSN test.
+pub(crate) fn smo_barrier(
+    dc: &dyn DcApi,
+    window: &[LogRecord],
+    dpt: &Dpt,
+    bk: &mut RecoveryBreakdown,
+) -> Result<()> {
+    let mut sink = InlineSink::new(dc, window);
+    for rec in window {
+        sink.smo(rec, dpt, bk)?;
+    }
+    sink.finish()
+}
 
 /// Log-driven read-ahead state (SQL2).
 pub struct LogDrivenPrefetcher {
@@ -84,78 +365,12 @@ impl LogDrivenPrefetcher {
     }
 }
 
-/// Algorithm 1: physiological redo over the window using `dpt`, processing
-/// data operations *and* SMO system-transaction records in LSN order.
-pub fn physiological_redo(
-    dc: &dyn DcApi,
-    window: &[LogRecord],
-    dpt: &Dpt,
-    mut prefetch: Option<LogDrivenPrefetcher>,
-    bk: &mut RecoveryBreakdown,
-) -> Result<()> {
-    let model = dc.pool().disk().io_model();
-    let mut root_moved = None;
-    for (i, rec) in window.iter().enumerate() {
-        dc.pool().disk_mut().charge_cpu(model.cpu_log_record_us);
-        if let Some(pf) = prefetch.as_mut() {
-            pf.pump(dc, window, i, dpt, bk);
-        }
-        match &rec.payload {
-            p if p.is_data_op() => {
-                bk.redo_records_seen += 1;
-                let pid = p.data_pid().expect("data op carries a PID");
-                match dpt.screen(pid, rec.lsn) {
-                    DptScreen::SkipNoEntry => {
-                        bk.skipped_no_dpt_entry += 1;
-                        continue;
-                    }
-                    DptScreen::SkipRlsn => {
-                        bk.skipped_rlsn += 1;
-                        continue;
-                    }
-                    DptScreen::Fetch => {}
-                }
-                dc.pool().fetch(pid)?;
-                let plsn = dc.pool().with_page(pid, |p| p.plsn())?;
-                if rec.lsn <= plsn {
-                    bk.skipped_plsn += 1;
-                    continue;
-                }
-                dc.pool().disk_mut().charge_cpu(model.cpu_apply_us);
-                dc.apply_at(pid, rec)?;
-                bk.ops_reapplied += 1;
-            }
-            LogPayload::Smo(smo) => {
-                // Physiological SMO redo, inline in LSN order (§2.1: ARIES
-                // redo performs SMO recovery within the redo pass) — the
-                // same per-record replay the parallel barrier phase runs.
-                let mut counts = SmoBarrierOutcome::default();
-                let moved = dc.replay_smo_screened(rec.lsn, smo, dpt, &mut counts)?;
-                bk.skipped_no_dpt_entry += counts.skipped_no_dpt_entry;
-                bk.skipped_rlsn += counts.skipped_rlsn;
-                bk.skipped_plsn += counts.skipped_plsn;
-                bk.ops_reapplied += counts.pages_applied;
-                if let Some(lsn) = moved {
-                    root_moved = Some(lsn);
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some(lsn) = root_moved {
-        dc.save_catalog(lsn)?;
-    }
-    Ok(())
-}
-
-// ----------------------------------------------------------------------
-// logical redo (Algorithms 2 and 5)
-// ----------------------------------------------------------------------
-
-/// PF-list read-ahead state (Log2, Appendix A.2): "we construct a list of
-/// PIDs ... roughly the concatenation of the DirtySets of Δ-log records ...
-/// We then execute log-driven read-ahead using the PF-list instead of the
-/// log."
+/// List-driven read-ahead state. Log2's list is the PF-list (Appendix
+/// A.2: "roughly the concatenation of the DirtySets of Δ-log records");
+/// Log2-dptpf's the DPT in rLSN order, the alternative the paper
+/// describes along with its hazard — "if prefetching proceeds too quickly,
+/// pages may get flushed before the redo scan requests them; if it
+/// proceeds too slowly, redo may need to wait".
 pub struct PfListPrefetcher {
     list: Vec<PageId>,
     next: usize,
@@ -167,6 +382,12 @@ pub struct PfListPrefetcher {
 impl PfListPrefetcher {
     pub fn new(list: Vec<PageId>, ahead: u64) -> PfListPrefetcher {
         PfListPrefetcher { list, next: 0, issued: 0, ahead }
+    }
+
+    /// The DPT's pages, lowest rLSN first.
+    pub fn in_rlsn_order(dpt: &Dpt, ahead: u64) -> PfListPrefetcher {
+        let list = dpt.entries_by_rlsn().into_iter().map(|(pid, _)| pid).collect();
+        PfListPrefetcher::new(list, ahead)
     }
 
     /// Keep `ahead` pages in flight beyond what redo has consumed
@@ -202,140 +423,6 @@ impl PfListPrefetcher {
             bk.prefetch_ios += ios as u64;
             bk.prefetch_pages += pages as u64;
             self.issued += pages as u64;
-        }
-    }
-}
-
-/// The data-page read-ahead strategy a logical redo pass uses.
-pub enum LogicalPrefetch {
-    None,
-    /// PF-list driven (the paper's chosen scheme, Appendix A.2).
-    PfList(PfListPrefetcher),
-    /// DPT/rLSN-order driven (the described alternative).
-    DptDriven(DptDrivenPrefetcher),
-}
-
-/// Algorithms 2 & 5: logical redo. Every data operation re-traverses the
-/// B-tree to discover its PID; with `ctx` the optimized redo test screens
-/// pages before fetching (records past the tail boundary fall back to the
-/// basic path).
-pub fn logical_redo(
-    dc: &dyn DcApi,
-    window: &[LogRecord],
-    ctx: Option<&LogicalCtx<'_>>,
-    mut prefetch: LogicalPrefetch,
-    bk: &mut RecoveryBreakdown,
-) -> Result<()> {
-    let model = dc.pool().disk().io_model();
-    for rec in window {
-        dc.pool().disk_mut().charge_cpu(model.cpu_log_record_us);
-        if !rec.payload.is_data_op() {
-            continue; // SMOs were handled by DC recovery; control records skip
-        }
-        bk.redo_records_seen += 1;
-        match &mut prefetch {
-            LogicalPrefetch::None => {}
-            LogicalPrefetch::PfList(pf) => {
-                let consumed = dc.pool().stats().data_page_misses;
-                if let Some(ctx) = ctx {
-                    pf.pump(dc, ctx.dpt, consumed, bk);
-                }
-            }
-            LogicalPrefetch::DptDriven(pf) => {
-                let consumed = dc.pool().stats().data_page_misses;
-                pf.pump(dc, consumed, bk);
-            }
-        }
-        let (table, key) = match &rec.payload {
-            LogPayload::Update { table, key, .. }
-            | LogPayload::Insert { table, key, .. }
-            | LogPayload::Delete { table, key, .. }
-            | LogPayload::Clr { table, key, .. } => (*table, *key),
-            _ => unreachable!("is_data_op checked"),
-        };
-        // Resolve the PID the record refers to (Alg. 5 line 4): a key
-        // traversal for the B-tree backend (internal pages only, the leaf
-        // is not fetched), the logged PID for a page-logical backend.
-        let logged = rec.payload.data_pid().expect("data op carries a PID");
-        let loc = dc.resolve_redo_pid(table, key, logged)?;
-        let pid = loc.pid;
-        dc.pool().disk_mut().charge_cpu(model.cpu_btree_level_us * loc.levels as u64);
-
-        if let Some(ctx) = ctx {
-            if rec.lsn < ctx.last_delta_tc_lsn {
-                // Optimized redo test (Alg. 5 lines 5-8).
-                match ctx.dpt.screen(pid, rec.lsn) {
-                    DptScreen::SkipNoEntry => {
-                        bk.skipped_no_dpt_entry += 1;
-                        continue;
-                    }
-                    DptScreen::SkipRlsn => {
-                        bk.skipped_rlsn += 1;
-                        continue;
-                    }
-                    DptScreen::Fetch => {}
-                }
-            } else {
-                // Tail of the log: basic fallback, fetch unconditionally.
-                bk.tail_records += 1;
-            }
-        }
-        dc.pool().fetch(pid)?;
-        let plsn = dc.pool().with_page(pid, |p| p.plsn())?;
-        if rec.lsn <= plsn {
-            bk.skipped_plsn += 1;
-            continue;
-        }
-        dc.pool().disk_mut().charge_cpu(model.cpu_apply_us);
-        dc.apply_at(pid, rec)?;
-        bk.ops_reapplied += 1;
-    }
-    Ok(())
-}
-
-/// DPT-driven read-ahead (Appendix A.2's alternative): "After the DPT has
-/// been constructed, pages in the DPT are prefetched in the order of their
-/// rLSNs. This approach has the advantage of not depending on the log
-/// prefetching mechanism." The paper notes its synchronization hazard —
-/// "if prefetching proceeds too quickly, pages may get flushed before the
-/// redo scan requests them; if it proceeds too slowly, redo may need to
-/// wait" — which the throttle below only partially mitigates; the
-/// `ablation` harness quantifies the difference against the PF-list.
-pub struct DptDrivenPrefetcher {
-    /// DPT pages in rLSN order.
-    list: Vec<PageId>,
-    next: usize,
-    issued: u64,
-    ahead: u64,
-}
-
-impl DptDrivenPrefetcher {
-    pub fn new(dpt: &Dpt, ahead: u64) -> DptDrivenPrefetcher {
-        let list = dpt.entries_by_rlsn().into_iter().map(|(pid, _)| pid).collect();
-        DptDrivenPrefetcher { list, next: 0, issued: 0, ahead }
-    }
-
-    /// Keep `ahead` pages in flight beyond what redo has consumed. As with
-    /// the PF-list pump, only pages the pool accepts count against the
-    /// budget.
-    pub fn pump(&mut self, dc: &dyn DcApi, consumed: u64, bk: &mut RecoveryBreakdown) {
-        while self.next < self.list.len() && self.issued < consumed + self.ahead {
-            let want = (consumed + self.ahead - self.issued) as usize;
-            let end = (self.next + want).min(self.list.len());
-            let batch: Vec<PageId> = self.list[self.next..end].to_vec();
-            self.next = end;
-            if batch.is_empty() {
-                break;
-            }
-            let (ios, pages) = dc.pool().prefetch(&batch);
-            bk.prefetch_ios += ios as u64;
-            bk.prefetch_pages += pages as u64;
-            self.issued += pages as u64;
-            if pages == 0 {
-                // Everything in this slice was cached/in-flight; keep
-                // draining the list rather than spinning on the budget.
-                continue;
-            }
         }
     }
 }
@@ -470,9 +557,9 @@ mod tests {
         let mut dpt = Dpt::new();
         dpt.add(pid_late, Lsn(900));
         dpt.add(pid_early, Lsn(100));
-        let mut pf = DptDrivenPrefetcher::new(&dpt, 1);
+        let mut pf = PfListPrefetcher::in_rlsn_order(&dpt, 1);
         let mut bk = RecoveryBreakdown::default();
-        pf.pump(&dc, 0, &mut bk);
+        pf.pump(&dc, &dpt, 0, &mut bk);
         assert!(dc.pool().disk().is_inflight(pid_early), "lowest rLSN first");
         assert!(!dc.pool().disk().is_inflight(pid_late), "budget of 1 holds the rest");
     }

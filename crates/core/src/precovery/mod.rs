@@ -1,61 +1,53 @@
-//! Parallel recovery — the concurrent counterpart of the §5 pipeline.
+//! Parallel recovery — the `workers ≥ 2` side of the §5 pipeline.
 //!
-//! The serial pipeline in [`crate::recovery`] drives analysis → redo →
-//! undo on one thread. This subsystem parallelizes the two passes that
-//! dominate restart time:
+//! * **Redo** keeps the method's one screen loop ([`crate::methods`]) as
+//!   its dispatcher; the partitioned sink routes survivors into bounded
+//!   per-partition queues keyed by `hash(PID)`, and each worker drains its
+//!   queue in FIFO — strictly ascending LSN — order through the same
+//!   fetch / pLSN test / apply kernel the inline sink runs. A page belongs
+//!   to exactly one partition, so per-page apply order equals log order
+//!   and pLSN idempotence makes cross-partition interleaving irrelevant:
+//!   workers=N is byte-equivalent to workers=1 (`recovery_equivalence`
+//!   asserts it for every method). SMO replay stays serialized, as a
+//!   barrier before data redo for the physiological family (logical
+//!   methods replayed SMOs during DC recovery).
+//! * **Undo** runs the one per-loser driver ([`lr_tc::undo_losers`]) on
+//!   that many threads: loser chains are independent, and CLRs append
+//!   through the shared log's normal path.
 //!
-//! * **Redo** becomes a dispatcher + N workers. The dispatcher makes one
-//!   pass over the scan window, runs the method's redo *screen* (DPT /
-//!   rLSN tests; for logical methods also the B-tree traversal that
-//!   resolves each record's PID), and routes surviving records into
-//!   per-partition bounded queues keyed by `hash(PID)`. Workers drain
-//!   their queue in FIFO — i.e. strictly ascending LSN — order, run the
-//!   pLSN test, and apply. Because a page belongs to exactly one
-//!   partition, per-page apply order equals log order, and pLSN
-//!   idempotence makes cross-partition interleaving irrelevant to the
-//!   final state: workers=N is byte-equivalent to workers=1 (the
-//!   `recovery_equivalence` suite asserts it for every method).
-//! * **SMO replay stays serialized** as a barrier phase *before* data
-//!   redo ([`lr_dc::smo_barrier_physiological`] for the physiological
-//!   family; logical methods already replay SMOs during DC recovery).
-//!   Whole-page SMO installs on a partitioned stream would otherwise
-//!   race data applies on the same page.
-//! * **Undo** parallelizes per loser transaction
-//!   ([`lr_tc::undo_losers_parallel`]): each loser's undo chain is
-//!   independent, and CLRs append through the shared log's normal path.
+//! Serial recovery is not "partitioned with one worker": the §5 measured
+//! path charges one SimClock in program order, and a dispatcher pumping
+//! read-ahead while a worker fetches would interleave those charges
+//! nondeterministically.
 //!
 //! ## Simulated-time accounting
 //!
-//! The paper's measured pipeline charges one [`lr_common::SimClock`].
-//! Parallel workers cannot share that timeline — it would serialize them
-//! by construction — so each worker keeps a private busy-time
-//! accumulator: its CPU charges (from the shared [`lr_common::IoModel`])
-//! plus the stall of every device read it performed. The report then
-//! takes **max-of-workers as the redo wall-clock** (`redo_us`) and
-//! **sum-of-workers as the device-charge view**
-//! (`worker_busy_total_us`), alongside the dispatcher's own scan time
-//! (`partition_us`) and the shard-merge cost (`merge_us`), all folded
-//! into `RecoveryBreakdown::total_us`. Queue backpressure is reported
-//! separately (`queue_stall_us`, real microseconds) because waiting on a
-//! bounded queue is harness scheduling, not simulated device time.
-//!
-//! Undo's accounting is deliberately more conservative: parallel undo
-//! overlaps losers in real time, but its page fetches charge the shared
-//! clock inside the apply paths it shares with online abort, so the
-//! reported `undo_us` stays a shared-clock delta — effectively
-//! sum-of-workers, an upper bound on the parallel undo wall-clock.
-//! Per-worker undo time shards are a recorded follow-on (ROADMAP).
+//! Parallel workers cannot share the one [`lr_common::SimClock`] — it
+//! would serialize them by construction — so each keeps a private busy
+//! total: its CPU charges (from the shared [`lr_common::IoModel`]) plus
+//! the stall of every device read it performed. The report takes
+//! **max-of-workers as wall-clock** (`redo_us`, and `undo_us` from
+//! `undo_worker_busy_max_us`) and **sum-of-workers as the device-charge
+//! view** (`worker_busy_total_us`, `undo_worker_busy_total_us`), beside
+//! the dispatcher's own scan (`partition_us`) and the shard merge
+//! (`merge_us`). Queue backpressure is reported apart (`queue_stall_us`,
+//! real µs): waiting on a bounded queue is harness scheduling, not
+//! simulated device time.
+#![deny(clippy::too_many_lines)]
 
 mod redo;
 
-pub(crate) use redo::{parallel_redo, RedoFamily};
+pub(crate) use redo::parallel_redo;
 
 /// Knobs for one recovery run ([`crate::Engine::recover_with`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryOptions {
-    /// Redo/undo worker threads. 1 selects the serial §5 pipeline
-    /// (exactly the code path `Engine::recover` always ran); ≥2 selects
-    /// the partitioned pipeline above.
+    /// Redo/undo worker threads. 1 runs redo's screen loop into the inline
+    /// sink — fetch, pLSN test and apply on the caller's thread, charging
+    /// the shared SimClock in program order (the §5 measured path) — and
+    /// undo on the caller's thread. ≥2 feeds the partitioned sink instead
+    /// (a dispatcher routing to that many redo workers, see above) and
+    /// undoes losers on that many threads.
     pub workers: usize,
 }
 

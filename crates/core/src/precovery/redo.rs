@@ -1,18 +1,19 @@
-//! The partitioned redo pipeline: one dispatcher, N queue-fed workers.
+//! The partitioned redo sink: one dispatcher, N queue-fed workers.
 //!
-//! Partitioning invariant: a record is routed by the PID it will be
-//! applied to — logged PID for physiological methods, traversal-resolved
-//! leaf PID for logical methods — through `shard_index(pid, workers)`.
-//! Every page therefore has exactly one owning worker, queues are FIFO,
-//! and per-page apply order equals log order. The tree shape is frozen
-//! across data redo (SMO replay is a completed barrier phase), so a
-//! logical record's resolved PID cannot drift between dispatch and apply.
+//! The dispatcher is the method's ordinary [`Screen`] loop; its sink
+//! routes each survivor by the PID it will be applied to — logged PID for
+//! physiological methods, traversal-resolved leaf PID for logical methods
+//! — through `shard_index(pid, workers)`. Every page therefore has
+//! exactly one owning worker, queues are FIFO, and per-page apply order
+//! equals log order. The tree shape is frozen across data redo (SMO replay
+//! is a completed barrier phase), so a logical record's resolved PID
+//! cannot drift between dispatch and apply.
 
-use crate::methods::{LogDrivenPrefetcher, LogicalCtx, LogicalPrefetch};
-use lr_common::{Error, IoModel, PageId, RecoveryBreakdown, Result};
-use lr_dc::{DcApi, Dpt, DptScreen};
+use crate::methods::{apply_one, Meter, RedoSink, Screen};
+use lr_common::{Error, PageId, RecoveryBreakdown, Result};
+use lr_dc::DcApi;
 use lr_obs::{EventKind, RecoveryPhase, TraceSink};
-use lr_wal::{LogPayload, LogRecord};
+use lr_wal::LogRecord;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
 use std::time::Instant;
 
@@ -28,263 +29,112 @@ struct RedoItem {
     pid: PageId,
 }
 
-/// Per-worker breakdown shard, merged into the report after the join.
-#[derive(Clone, Copy, Debug, Default)]
-struct WorkerShard {
-    /// Simulated busy µs: apply CPU + device stalls of this worker's reads.
-    busy_us: u64,
-    /// Real µs blocked on an empty queue.
-    queue_stall_us: u64,
-    ops_reapplied: u64,
-    skipped_plsn: u64,
+/// The dispatcher's sink: route survivors to their partition's queue
+/// (SMO records were replayed by the barrier phase).
+struct Router {
+    txs: Vec<SyncSender<RedoItem>>,
+    /// Simulated busy µs: per-record CPU, logical traversals and their
+    /// device stalls.
+    meter: Meter,
 }
 
-/// What the dispatcher hands back besides the counters it wrote into `bk`.
-#[derive(Clone, Copy, Debug, Default)]
-struct DispatchOutcome {
-    /// Simulated busy µs: per-record CPU, screens, logical traversals.
-    busy_us: u64,
-    /// Real µs blocked on full partition queues.
-    send_stall_us: u64,
-}
+impl RedoSink for Router {
+    fn meter(&mut self) -> &mut Meter {
+        &mut self.meter
+    }
 
-/// Which redo family the dispatcher screens for.
-pub(crate) enum RedoFamily<'a> {
-    /// SQL1/SQL2/ARIES-ckpt: route by the logged PID after the DPT screen.
-    Physiological { dpt: &'a Dpt, prefetch: Option<LogDrivenPrefetcher> },
-    /// Log0/Log1/Log2 and the Appendix-D ablations: traverse to resolve
-    /// the PID, then screen (tail-of-log records bypass the screen).
-    Logical { ctx: Option<LogicalCtx<'a>>, prefetch: LogicalPrefetch },
+    /// The fast path is an untimed `try_send`; only a full queue falls back
+    /// to a blocking send with the wait accounted — so `queue_stall_us`
+    /// measures genuine backpressure, not per-record timestamping noise.
+    fn redo(&mut self, idx: usize, pid: PageId, bk: &mut RecoveryBreakdown) -> Result<()> {
+        let tx = &self.txs[lr_common::shard_index(pid.0, self.txs.len())];
+        let dead =
+            || Error::RecoveryInvariant("redo worker exited before the dispatch finished".into());
+        match tx.try_send(RedoItem { idx, pid }) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Disconnected(_)) => Err(dead()),
+            Err(TrySendError::Full(item)) => {
+                let t0 = Instant::now();
+                let sent = tx.send(item).map_err(|_| dead());
+                bk.queue_stall_us += t0.elapsed().as_micros() as u64;
+                sent
+            }
+        }
+    }
 }
 
 /// Run partitioned redo over `window` with `workers` threads (callers
-/// route `workers <= 1` to the serial pass instead). On success the
+/// route `workers <= 1` to the inline sink instead). On success the
 /// breakdown carries the merged per-worker shards: `redo_us` is the
 /// busiest worker (wall-clock), `worker_busy_total_us` the sum, and
 /// `partition_us` the dispatcher's own scan.
 pub(crate) fn parallel_redo(
     dc: &dyn DcApi,
     window: &[LogRecord],
-    family: RedoFamily<'_>,
+    screen: Screen<'_>,
     workers: usize,
     trace: &TraceSink,
     bk: &mut RecoveryBreakdown,
 ) -> Result<()> {
-    debug_assert!(workers >= 2, "serial redo handles workers <= 1");
-    let model = dc.pool().disk().io_model();
-    let mut txs: Vec<SyncSender<RedoItem>> = Vec::with_capacity(workers);
-    let mut rxs: Vec<Receiver<RedoItem>> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = std::sync::mpsc::sync_channel(QUEUE_CAP);
-        txs.push(tx);
-        rxs.push(rx);
-    }
+    debug_assert!(workers >= 2, "the inline sink handles workers <= 1");
+    let cpu_apply_us = dc.pool().disk().io_model().cpu_apply_us;
+    let (txs, rxs): (Vec<_>, Vec<_>) =
+        (0..workers).map(|_| std::sync::mpsc::sync_channel(QUEUE_CAP)).unzip();
 
-    let (dispatch_result, worker_results) = std::thread::scope(|s| {
+    let mut router = Router { txs, meter: Meter::Busy(0) };
+    let (dispatched, worker_results) = std::thread::scope(|s| {
         let handles: Vec<_> = rxs
             .into_iter()
             .enumerate()
             .map(|(w, rx)| {
-                let model = model.clone();
-                s.spawn(move || worker_loop(dc, window, rx, &model, trace, w as u64))
+                s.spawn(move || worker_loop(dc, window, rx, cpu_apply_us, trace, w as u64))
             })
             .collect();
-        let dispatched = dispatch(dc, window, family, &txs, &model, bk);
+        let dispatched = screen.run(dc, window, &mut router, bk);
         // Closing the channels is what terminates the workers' recv loops.
-        drop(txs);
-        let results: Vec<Result<WorkerShard>> =
+        router.txs.clear();
+        let results: Vec<Result<RecoveryBreakdown>> =
             handles.into_iter().map(|h| h.join().expect("redo worker panicked")).collect();
         (dispatched, results)
     });
 
     // A worker error is the root cause; the dispatcher's send failure (a
     // closed queue) is only its echo — surface the worker's error first.
-    let mut shards = Vec::with_capacity(workers);
-    let mut worker_err = None;
-    for r in worker_results {
-        match r {
-            Ok(sh) => shards.push(sh),
-            Err(e) => worker_err = worker_err.or(Some(e)),
-        }
-    }
-    if let Some(e) = worker_err {
-        return Err(e);
-    }
-    let outcome = dispatch_result?;
+    let shards = worker_results.into_iter().collect::<Result<Vec<_>>>()?;
+    dispatched?;
 
-    bk.partition_us += outcome.busy_us;
-    bk.queue_stall_us += outcome.send_stall_us;
+    bk.partition_us += router.meter.busy_us();
     for sh in &shards {
         bk.ops_reapplied += sh.ops_reapplied;
         bk.skipped_plsn += sh.skipped_plsn;
         bk.queue_stall_us += sh.queue_stall_us;
-        bk.worker_busy_total_us += sh.busy_us;
-        bk.worker_busy_max_us = bk.worker_busy_max_us.max(sh.busy_us);
+        bk.worker_busy_total_us += sh.worker_busy_max_us;
+        bk.worker_busy_max_us = bk.worker_busy_max_us.max(sh.worker_busy_max_us);
     }
     bk.redo_us = bk.worker_busy_max_us;
     // Merging one shard is record-examination-sized work; a simulated
     // per-shard CPU charge keeps total_us deterministic (real elapsed time
     // here would make the otherwise bit-identical totals jitter with host
     // load — real-time effects are reported via queue_stall_us only).
-    bk.merge_us += model.cpu_log_record_us * workers as u64;
+    bk.merge_us += dc.pool().disk().io_model().cpu_log_record_us * workers as u64;
     Ok(())
 }
 
-/// Route one surviving record to its partition's queue. The fast path is
-/// an untimed `try_send`; only a full queue falls back to a blocking send
-/// with the wait accounted — so `queue_stall_us` measures genuine
-/// backpressure, not per-record timestamping noise.
-fn route(
-    txs: &[SyncSender<RedoItem>],
-    pid: PageId,
-    idx: usize,
-    send_stall_us: &mut u64,
-) -> Result<()> {
-    let worker = lr_common::shard_index(pid.0, txs.len());
-    let dead =
-        || Error::RecoveryInvariant("redo worker exited before the dispatch finished".into());
-    match txs[worker].try_send(RedoItem { idx, pid }) {
-        Ok(()) => Ok(()),
-        Err(TrySendError::Disconnected(_)) => Err(dead()),
-        Err(TrySendError::Full(item)) => {
-            let t0 = Instant::now();
-            let sent = txs[worker].send(item).map_err(|_| dead());
-            *send_stall_us += t0.elapsed().as_micros() as u64;
-            sent
-        }
-    }
-}
-
-/// The single log-scan pass: screen every record with the method's redo
-/// test (everything except the pLSN test, which needs the page) and route
-/// survivors. Screen counters go straight into `bk`; the dispatcher's own
-/// simulated time is returned for the `partition_us` phase.
-///
-/// PARITY CONTRACT: each family's arm must make the same per-record
-/// decisions as its serial executor (`physiological_redo` /
-/// `logical_redo` in `crate::methods`), with apply replaced by routing
-/// and SMO records excluded (the barrier phase replayed them). The
-/// decision kernels are shared — [`Dpt::screen`] for the redo test,
-/// `lr_dc::replay_smo_screened` for SMO replay — so only the loop
-/// plumbing (prefetch pumping, counters, traversal) is mirrored here;
-/// any change to either side must be made in both, and the
-/// `recovery_equivalence` suite (all methods × workers ∈ {1,2,4}) is
-/// the backstop that catches a missed mirror.
-fn dispatch(
-    dc: &dyn DcApi,
-    window: &[LogRecord],
-    family: RedoFamily<'_>,
-    txs: &[SyncSender<RedoItem>],
-    model: &IoModel,
-    bk: &mut RecoveryBreakdown,
-) -> Result<DispatchOutcome> {
-    let mut out = DispatchOutcome::default();
-    match family {
-        RedoFamily::Physiological { dpt, mut prefetch } => {
-            for (i, rec) in window.iter().enumerate() {
-                out.busy_us += model.cpu_log_record_us;
-                if let Some(pf) = prefetch.as_mut() {
-                    pf.pump(dc, window, i, dpt, bk);
-                }
-                let p = &rec.payload;
-                if !p.is_data_op() {
-                    // SMO records were replayed by the serialized barrier
-                    // phase; control records never redo.
-                    continue;
-                }
-                bk.redo_records_seen += 1;
-                let pid = p.data_pid().expect("data op carries a PID");
-                match dpt.screen(pid, rec.lsn) {
-                    DptScreen::SkipNoEntry => {
-                        bk.skipped_no_dpt_entry += 1;
-                        continue;
-                    }
-                    DptScreen::SkipRlsn => {
-                        bk.skipped_rlsn += 1;
-                        continue;
-                    }
-                    DptScreen::Fetch => {}
-                }
-                route(txs, pid, i, &mut out.send_stall_us)?;
-            }
-        }
-        RedoFamily::Logical { ctx, mut prefetch } => {
-            for (i, rec) in window.iter().enumerate() {
-                out.busy_us += model.cpu_log_record_us;
-                if !rec.payload.is_data_op() {
-                    continue;
-                }
-                bk.redo_records_seen += 1;
-                match &mut prefetch {
-                    LogicalPrefetch::None => {}
-                    LogicalPrefetch::PfList(pf) => {
-                        let consumed = dc.pool().stats().data_page_misses;
-                        if let Some(ctx) = &ctx {
-                            pf.pump(dc, ctx.dpt, consumed, bk);
-                        }
-                    }
-                    LogicalPrefetch::DptDriven(pf) => {
-                        let consumed = dc.pool().stats().data_page_misses;
-                        pf.pump(dc, consumed, bk);
-                    }
-                }
-                let (table, key) = match &rec.payload {
-                    LogPayload::Update { table, key, .. }
-                    | LogPayload::Insert { table, key, .. }
-                    | LogPayload::Delete { table, key, .. }
-                    | LogPayload::Clr { table, key, .. } => (*table, *key),
-                    _ => unreachable!("is_data_op checked"),
-                };
-                // Resolve the partition key exactly as serial logical redo
-                // does (a B-tree traversal, or the logged PID for a
-                // page-logical backend) — the cost lands in the
-                // dispatcher's phase, device stalls for cold index pages
-                // included.
-                let logged = rec.payload.data_pid().expect("data op carries a PID");
-                let loc = dc.resolve_redo_pid(table, key, logged)?;
-                let pid = loc.pid;
-                out.busy_us += model.cpu_btree_level_us * loc.levels as u64 + loc.stall_us;
-
-                if let Some(ctx) = &ctx {
-                    if rec.lsn < ctx.last_delta_tc_lsn {
-                        // Optimized redo test (Alg. 5 lines 5-8).
-                        match ctx.dpt.screen(pid, rec.lsn) {
-                            DptScreen::SkipNoEntry => {
-                                bk.skipped_no_dpt_entry += 1;
-                                continue;
-                            }
-                            DptScreen::SkipRlsn => {
-                                bk.skipped_rlsn += 1;
-                                continue;
-                            }
-                            DptScreen::Fetch => {}
-                        }
-                    } else {
-                        // Tail of the log: basic fallback, redo decides by
-                        // pLSN alone.
-                        bk.tail_records += 1;
-                    }
-                }
-                route(txs, pid, i, &mut out.send_stall_us)?;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// One redo worker: drain the partition queue in FIFO (= LSN) order, run
-/// the pLSN test, apply. Simulated busy time accumulates locally — the
-/// worker's own device stalls and apply CPU — so the report can take the
-/// max across workers as the parallel redo wall-clock.
+/// One redo worker: drain the partition queue in FIFO (= LSN) order and
+/// run [`apply_one`] on each item. Returns this worker's breakdown shard:
+/// its counters, its real queue-idle µs, and its simulated busy µs (own
+/// device stalls and apply CPU) as `worker_busy_max_us`, so the report can
+/// take the max across workers as the parallel redo wall-clock.
 fn worker_loop(
     dc: &dyn DcApi,
     window: &[LogRecord],
     rx: Receiver<RedoItem>,
-    model: &IoModel,
+    cpu_apply_us: u64,
     trace: &TraceSink,
     worker: u64,
-) -> Result<WorkerShard> {
-    let mut sh = WorkerShard::default();
+) -> Result<RecoveryBreakdown> {
+    let mut sh = RecoveryBreakdown::default();
+    let mut meter = Meter::Busy(0);
     trace.emit(EventKind::RecoveryPhaseStart { phase: RecoveryPhase::Redo, worker });
     loop {
         // Untimed try_recv fast path; only an empty queue pays for the
@@ -300,26 +150,10 @@ fn worker_loop(
                 item
             }
         };
-        let rec = &window[item.idx];
-        let info = dc.pool().fetch(item.pid)?;
-        sh.busy_us += info.stall_us;
-        // Stall-aware read: a concurrent eviction between the fetch and
-        // this latch means a refetch whose device stall must also land in
-        // this worker's busy time.
-        let (plsn, info) = dc.pool().with_page_info(item.pid, |p| p.plsn())?;
-        sh.busy_us += info.stall_us;
-        if rec.lsn <= plsn {
-            sh.skipped_plsn += 1;
-            continue;
-        }
-        sh.busy_us += model.cpu_apply_us;
-        dc.apply_at(item.pid, rec)?;
-        sh.ops_reapplied += 1;
+        apply_one(dc, item.pid, &window[item.idx], cpu_apply_us, &mut meter, &mut sh)?;
     }
-    trace.emit(EventKind::RecoveryPhaseEnd {
-        phase: RecoveryPhase::Redo,
-        worker,
-        busy_us: sh.busy_us,
-    });
+    sh.worker_busy_max_us = meter.busy_us();
+    let busy_us = sh.worker_busy_max_us;
+    trace.emit(EventKind::RecoveryPhaseEnd { phase: RecoveryPhase::Redo, worker, busy_us });
     Ok(sh)
 }

@@ -4,30 +4,24 @@
 //! pass charges the simulated device, and the report carries the same
 //! numbers the paper's figures plot — redo time, DPT size, Δ/BW counts,
 //! page-fetch and stall breakdowns.
+//!
+//! Every method runs the same phases — restart, analysis, SMO redo,
+//! preload, redo, index rebuild, undo — and differs only in the four
+//! choices of its row in [`RecoveryMethod`]'s method table.
+#![deny(clippy::too_many_lines)]
 
 use crate::engine::Engine;
-use crate::methods::{
-    logical_redo, physiological_redo, DptDrivenPrefetcher, LogDrivenPrefetcher, LogicalCtx,
-    LogicalPrefetch, PfListPrefetcher,
-};
-use crate::precovery::{parallel_redo, RecoveryOptions, RedoFamily};
+use crate::methods::{redo_inline, smo_barrier, Family, Prefetch, Screen};
+use crate::precovery::{parallel_redo, RecoveryOptions};
 use lr_buffer::PoolStats;
-use lr_common::{Error, IoStats, Lsn, RecoveryBreakdown, Result};
-use lr_dc::{
-    build_dpt_aries, build_dpt_logical, build_dpt_sqlserver, smo_barrier_physiological,
-    DeltaDptMode, Dpt,
-};
+use lr_common::{Error, IoStats, Lsn, PageId, RecoveryBreakdown, Result};
+use lr_dc::{build_dpt_aries, build_dpt_logical, build_dpt_sqlserver, DeltaDptMode, Dpt};
 use lr_obs::{EventKind, RecoveryPhase};
-use lr_tc::{analyze_txns, undo_losers, undo_losers_parallel, UndoStats};
-use lr_wal::LogPayload;
+use lr_tc::{analyze_txns, undo_losers, UndoStats};
+use lr_wal::{LogPayload, LogRecord, RestartScan};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::Ordering;
-
-/// Records to look ahead in log-driven prefetch (SQL2).
-const LOG_DRIVEN_LOOKAHEAD_RECORDS: usize = 128;
-/// Pages to keep in flight in PF-list prefetch (Log2).
-const PF_LIST_AHEAD_PAGES: u64 = 64;
 
 /// The recovery spectrum (§5.2 methods + ablations).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -55,58 +49,82 @@ pub enum RecoveryMethod {
     Log2DptPrefetch,
 }
 
+/// Where a method's dirty page table comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DptSource {
+    /// No DPT: every data record reaches its page's pLSN test.
+    None,
+    /// Δ-log records, read during DC recovery (Alg. 4 or an App. D variant).
+    Delta(DeltaDptMode),
+    /// SQL Server's analysis pass over BW-log records (Alg. 3).
+    SqlAnalysis,
+    /// The checkpoint-captured DPT, rolled forward over the window (§3.1).
+    AriesCkpt,
+}
+
+/// One row of the method table: a name and four independent choices.
+#[derive(Clone, Copy, Debug)]
+struct MethodSpec {
+    name: &'static str,
+    dpt: DptSource,
+    family: Family,
+    prefetch: Prefetch,
+    /// Load every index page before redo (Appendix A.1).
+    preload: bool,
+}
+
+const fn spec(
+    name: &'static str,
+    dpt: DptSource,
+    family: Family,
+    prefetch: Prefetch,
+    preload: bool,
+) -> MethodSpec {
+    MethodSpec { name, dpt, family, prefetch, preload }
+}
+
 impl RecoveryMethod {
+    /// The method table: the one place a method maps to behaviour.
+    const TABLE: [(RecoveryMethod, MethodSpec); 9] = {
+        use DeltaDptMode::{Perfect, Reduced, Standard};
+        use DptSource::{AriesCkpt, Delta, None as NoDpt, SqlAnalysis};
+        use Family::{Logical, Physiological};
+        use Prefetch::{DptOrder, LogDriven, None as NoPf, PfList};
+        use RecoveryMethod as M;
+        [
+            (M::Log0, spec("Log0", NoDpt, Logical, NoPf, false)),
+            (M::Log1, spec("Log1", Delta(Standard), Logical, NoPf, false)),
+            (M::Log2, spec("Log2", Delta(Standard), Logical, PfList, true)),
+            (M::Sql1, spec("SQL1", SqlAnalysis, Physiological, NoPf, false)),
+            (M::Sql2, spec("SQL2", SqlAnalysis, Physiological, LogDriven, false)),
+            (M::AriesCkpt, spec("ARIES-ckpt", AriesCkpt, Physiological, NoPf, false)),
+            (M::LogPerfect, spec("Log-perfect", Delta(Perfect), Logical, NoPf, false)),
+            (M::LogReduced, spec("Log-reduced", Delta(Reduced), Logical, NoPf, false)),
+            (M::Log2DptPrefetch, spec("Log2-dptpf", Delta(Standard), Logical, DptOrder, true)),
+        ]
+    };
+
+    fn spec(self) -> MethodSpec {
+        Self::TABLE.into_iter().find(|(m, _)| *m == self).expect("every method has a row").1
+    }
+
     /// The five methods of the paper's §5.2 comparison, in figure order.
     pub fn paper_five() -> [RecoveryMethod; 5] {
-        [
-            RecoveryMethod::Log0,
-            RecoveryMethod::Log1,
-            RecoveryMethod::Sql1,
-            RecoveryMethod::Log2,
-            RecoveryMethod::Sql2,
-        ]
+        [Self::Log0, Self::Log1, Self::Sql1, Self::Log2, Self::Sql2]
     }
 
     /// All implemented methods.
     pub fn all() -> [RecoveryMethod; 9] {
-        [
-            RecoveryMethod::Log0,
-            RecoveryMethod::Log1,
-            RecoveryMethod::Log2,
-            RecoveryMethod::Sql1,
-            RecoveryMethod::Sql2,
-            RecoveryMethod::AriesCkpt,
-            RecoveryMethod::LogPerfect,
-            RecoveryMethod::LogReduced,
-            RecoveryMethod::Log2DptPrefetch,
-        ]
+        Self::TABLE.map(|(method, _)| method)
     }
 
     /// Does redo locate pages by key (logical) rather than by logged PID?
     pub fn is_logical(self) -> bool {
-        matches!(
-            self,
-            RecoveryMethod::Log0
-                | RecoveryMethod::Log1
-                | RecoveryMethod::Log2
-                | RecoveryMethod::LogPerfect
-                | RecoveryMethod::LogReduced
-                | RecoveryMethod::Log2DptPrefetch
-        )
+        self.spec().family == Family::Logical
     }
 
     pub fn name(self) -> &'static str {
-        match self {
-            RecoveryMethod::Log0 => "Log0",
-            RecoveryMethod::Log1 => "Log1",
-            RecoveryMethod::Log2 => "Log2",
-            RecoveryMethod::Sql1 => "SQL1",
-            RecoveryMethod::Sql2 => "SQL2",
-            RecoveryMethod::AriesCkpt => "ARIES-ckpt",
-            RecoveryMethod::LogPerfect => "Log-perfect",
-            RecoveryMethod::LogReduced => "Log-reduced",
-            RecoveryMethod::Log2DptPrefetch => "Log2-dptpf",
-        }
+        self.spec().name
     }
 }
 
@@ -239,47 +257,20 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// The method's redo screen + prefetch configuration, built once per
-/// recovery and consumed by whichever executor (serial pass or
-/// partitioned dispatcher) runs it.
-fn redo_family<'a>(
-    method: RecoveryMethod,
-    dpt: Option<&'a Dpt>,
-    last_delta_tc_lsn: Lsn,
-    pf_list: &mut Vec<lr_common::PageId>,
-) -> RedoFamily<'a> {
-    let ctx = |dpt: Option<&'a Dpt>| LogicalCtx {
-        dpt: dpt.expect("DPT-assisted methods build a DPT"),
-        last_delta_tc_lsn,
-    };
-    match method {
-        RecoveryMethod::Sql1 | RecoveryMethod::AriesCkpt => RedoFamily::Physiological {
-            dpt: dpt.expect("physiological methods build a DPT"),
-            prefetch: None,
-        },
-        RecoveryMethod::Sql2 => RedoFamily::Physiological {
-            dpt: dpt.expect("SQL2 builds a DPT"),
-            prefetch: Some(LogDrivenPrefetcher::new(LOG_DRIVEN_LOOKAHEAD_RECORDS)),
-        },
-        RecoveryMethod::Log0 => RedoFamily::Logical { ctx: None, prefetch: LogicalPrefetch::None },
-        RecoveryMethod::Log1 | RecoveryMethod::LogPerfect | RecoveryMethod::LogReduced => {
-            RedoFamily::Logical { ctx: Some(ctx(dpt)), prefetch: LogicalPrefetch::None }
-        }
-        RecoveryMethod::Log2 => RedoFamily::Logical {
-            ctx: Some(ctx(dpt)),
-            prefetch: LogicalPrefetch::PfList(PfListPrefetcher::new(
-                std::mem::take(pf_list),
-                PF_LIST_AHEAD_PAGES,
-            )),
-        },
-        RecoveryMethod::Log2DptPrefetch => RedoFamily::Logical {
-            ctx: Some(ctx(dpt)),
-            prefetch: LogicalPrefetch::DptDriven(DptDrivenPrefetcher::new(
-                dpt.expect("DPT built above"),
-                PF_LIST_AHEAD_PAGES,
-            )),
-        },
-    }
+/// What analysis hands redo.
+struct Analysis {
+    /// `None` for Log0.
+    dpt: Option<Dpt>,
+    /// Where the tail of the log starts: the last Δ record's TC-LSN for a
+    /// Δ-built DPT, `Lsn::MAX` for a DPT covering the whole window.
+    tail_from: Lsn,
+    /// The PF-list (Appendix A.2), for Δ-built DPTs.
+    pf_list: Vec<PageId>,
+}
+
+/// A phase's span busy time when it is the phase's SimClock delta.
+fn elapsed<R>(_: &R, us: u64) -> u64 {
+    us
 }
 
 impl Engine {
@@ -293,15 +284,16 @@ impl Engine {
 
     /// Recover the crashed engine with `method` under `opts`. With
     /// `workers == 1` this is exactly [`Engine::recover`]; with more, the
-    /// redo pass runs as a DPT-partitioned dispatcher + worker pipeline
-    /// and undo parallelizes per loser transaction (see
-    /// [`crate::precovery`]) — producing state identical to the serial
-    /// pipeline, with per-worker timing shards in the report.
+    /// redo pass feeds a DPT-partitioned worker pipeline and undo
+    /// parallelizes per loser transaction (see [`crate::precovery`]) —
+    /// producing state identical to the serial pipeline, with per-worker
+    /// timing shards in the report.
     pub fn recover_with(
         &self,
         method: RecoveryMethod,
         opts: RecoveryOptions,
     ) -> Result<RecoveryReport> {
+        let spec = method.spec();
         let workers = opts.workers.max(1);
         let _lc = self.lifecycle.lock();
         // The state check lives inside the lifecycle critical section: two
@@ -317,300 +309,41 @@ impl Engine {
         // catalog reload). Released before the post-recovery checkpoint,
         // which runs against live sessions by design.
         let dp = self.data_plane.write();
-        // ---- measurement window ----
-        self.clock.reset();
-        {
-            let pool = self.dc.pool();
-            pool.reset_stats();
-            let mut disk = pool.disk_mut();
-            disk.reset_device();
-            disk.set_timed(true);
+        let mut bk = RecoveryBreakdown { workers: workers as u64, ..Default::default() };
+        let (scan, log_pages) = self.restart(&mut bk)?;
+        let window = &scan.window;
+
+        let analyze = || self.analyze(spec, &scan, log_pages, &mut bk);
+        let (analysis, analysis_us) = self.phase(RecoveryPhase::Analysis, analyze, elapsed)?;
+        bk.analysis_us = analysis_us;
+        let mut smo_pages = (0, 0);
+        if spec.family == Family::Logical {
+            // DC recovery precedes TC redo (§4.2): the index must be
+            // well-formed before any record is located by key.
+            (smo_pages, bk.smo_redo_us) =
+                self.phase(RecoveryPhase::SmoRedo, || self.dc.smo_redo(window), elapsed)?;
         }
-        let mut bk = RecoveryBreakdown::default();
-        let model = self.dc.pool().disk().io_model();
-
-        // ---- restart: the end of the log and the redo window ----
-        // One pass from the checkpoint anchor: every frame's length and
-        // CRC checked and decoded once, the log cut at the first torn one
-        // (crash mid-write), and the window, its RSSP note and the
-        // checkpoint's active transactions handed back. What it costs is a
-        // function of the window, not of the log.
-        let (scan, log_pages) = {
-            let mut wal = self.wal.lock();
-            let scan = wal.restart()?;
-            let log_pages = wal.log_pages_between(scan.scan_start, wal.end_lsn());
-            (scan, log_pages)
-        };
-        let lr_wal::RestartScan {
-            rssp_lsn,
-            window,
-            ckpt_active,
-            scanned_bytes,
-            scanned_records,
-            ..
-        } = scan;
-        bk.restart_scan_bytes = scanned_bytes;
-        bk.restart_scan_records = scanned_records;
-        self.restart_scan_bytes.fetch_add(scanned_bytes, Ordering::Relaxed);
-        let window_data_ops = window.iter().filter(|r| r.payload.is_data_op()).count() as u64;
-        bk.log_pages_read += log_pages;
-
-        // ---- phase 1: analysis / DC recovery ----
-        //
-        // One sequential scan of the window (log-page I/O + per-record CPU),
-        // then the method-specific DPT construction; logical methods also
-        // run SMO redo here (§4.2: DC recovery precedes TC redo).
-        let t0 = self.clock.now_us();
-        self.trace
-            .emit(EventKind::RecoveryPhaseStart { phase: RecoveryPhase::Analysis, worker: 0 });
-        for _ in 0..log_pages {
-            self.dc.pool().disk_mut().charge_log_page_read();
-        }
-        self.dc.pool().disk_mut().charge_cpu(model.cpu_log_record_us * window.len() as u64);
-
-        let mut dpt: Option<Dpt> = None;
-        let mut last_delta_tc_lsn = Lsn::NULL;
-        let mut pf_list: Vec<lr_common::PageId> = Vec::new();
-        let mut smo_pages_applied = 0;
-        let mut smo_pages_skipped = 0;
-        let mut smo_us = 0;
-
-        match method {
-            RecoveryMethod::Sql1 | RecoveryMethod::Sql2 => {
-                // Physiological: the catalog only matters for undo, but the
-                // tree handles must exist before apply_at.
-                self.dc.reload_catalog()?;
-                let (d, counts) = build_dpt_sqlserver(&window);
-                bk.bw_records_seen = counts.bw_records;
-                bk.delta_records_seen = counts.delta_records;
-                dpt = Some(d);
-            }
-            RecoveryMethod::AriesCkpt => {
-                self.dc.reload_catalog()?;
-                let seed = window
-                    .iter()
-                    .find_map(|r| match &r.payload {
-                        LogPayload::AriesCheckpoint { dpt } => Some(dpt.clone()),
-                        _ => None,
-                    })
-                    .ok_or_else(|| {
-                        Error::RecoveryInvariant(
-                            "no ARIES checkpoint DPT on the log — run the workload with \
-                             aries_ckpt_capture enabled"
-                                .into(),
-                        )
-                    })?;
-                let (d, counts) = build_dpt_aries(&seed, &window);
-                bk.bw_records_seen = counts.bw_records;
-                bk.delta_records_seen = counts.delta_records;
-                dpt = Some(d);
-            }
-            RecoveryMethod::Log0 => {
-                let s0 = self.clock.now_us();
-                self.trace.emit(EventKind::RecoveryPhaseStart {
-                    phase: RecoveryPhase::SmoRedo,
-                    worker: 0,
-                });
-                let (a, s) = self.dc.smo_redo(&window)?;
-                smo_pages_applied = a;
-                smo_pages_skipped = s;
-                smo_us = self.clock.now_us() - s0;
-                self.trace.emit(EventKind::RecoveryPhaseEnd {
-                    phase: RecoveryPhase::SmoRedo,
-                    worker: 0,
-                    busy_us: smo_us,
-                });
-            }
-            RecoveryMethod::Log1
-            | RecoveryMethod::Log2
-            | RecoveryMethod::LogPerfect
-            | RecoveryMethod::LogReduced
-            | RecoveryMethod::Log2DptPrefetch => {
-                let s0 = self.clock.now_us();
-                self.trace.emit(EventKind::RecoveryPhaseStart {
-                    phase: RecoveryPhase::SmoRedo,
-                    worker: 0,
-                });
-                let (a, s) = self.dc.smo_redo(&window)?;
-                smo_pages_applied = a;
-                smo_pages_skipped = s;
-                smo_us = self.clock.now_us() - s0;
-                self.trace.emit(EventKind::RecoveryPhaseEnd {
-                    phase: RecoveryPhase::SmoRedo,
-                    worker: 0,
-                    busy_us: smo_us,
-                });
-                let mode = match method {
-                    RecoveryMethod::LogPerfect => DeltaDptMode::Perfect,
-                    RecoveryMethod::LogReduced => DeltaDptMode::Reduced,
-                    _ => DeltaDptMode::Standard,
-                };
-                let analysis = build_dpt_logical(&window, rssp_lsn, mode);
-                bk.delta_records_seen = analysis.counts.delta_records;
-                bk.bw_records_seen = analysis.counts.bw_records;
-                last_delta_tc_lsn = analysis.last_delta_tc_lsn;
-                pf_list = analysis.pf_list;
-                dpt = Some(analysis.dpt);
-            }
-        }
-        bk.smo_redo_us = smo_us;
-        bk.analysis_us = (self.clock.now_us() - t0).saturating_sub(smo_us);
-        bk.dpt_size = dpt.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-        self.trace.emit(EventKind::RecoveryPhaseEnd {
-            phase: RecoveryPhase::Analysis,
-            worker: 0,
-            busy_us: bk.analysis_us,
-        });
-
-        // ---- phase 1.5: index preload (Log2, Appendix A.1) ----
         let mut index_pages_loaded = 0;
-        if matches!(method, RecoveryMethod::Log2 | RecoveryMethod::Log2DptPrefetch) {
-            let t = self.clock.now_us();
-            self.trace.emit(EventKind::RecoveryPhaseStart {
-                phase: RecoveryPhase::IndexPreload,
-                worker: 0,
-            });
-            let pl = self.dc.preload_index()?;
+        if spec.preload {
+            let (pl, us) =
+                self.phase(RecoveryPhase::IndexPreload, || self.dc.preload_index(), elapsed)?;
             index_pages_loaded = pl.pages_loaded;
             bk.prefetch_ios += pl.prefetch_ios;
             bk.prefetch_pages += pl.prefetch_pages;
-            bk.index_preload_us = self.clock.now_us() - t;
-            self.trace.emit(EventKind::RecoveryPhaseEnd {
-                phase: RecoveryPhase::IndexPreload,
-                worker: 0,
-                busy_us: bk.index_preload_us,
-            });
+            bk.index_preload_us = us;
         }
-
-        // ---- phase 2: redo ----
-        let t_redo = self.clock.now_us();
-        let ps_before = self.dc.pool().stats();
-        // The redo pass re-reads the window sequentially.
-        for _ in 0..log_pages {
-            self.dc.pool().disk_mut().charge_log_page_read();
-        }
-        bk.log_pages_read += log_pages;
-
-        // One screen/prefetch configuration serves both executors, so the
-        // serial and partitioned pipelines can never drift apart per
-        // method.
-        let family = redo_family(method, dpt.as_ref(), last_delta_tc_lsn, &mut pf_list);
-        if workers <= 1 {
-            self.trace
-                .emit(EventKind::RecoveryPhaseStart { phase: RecoveryPhase::Redo, worker: 0 });
-            match family {
-                RedoFamily::Physiological { dpt, prefetch } => {
-                    physiological_redo(self.dc.as_ref(), &window, dpt, prefetch, &mut bk)?;
-                }
-                RedoFamily::Logical { ctx, prefetch } => {
-                    logical_redo(self.dc.as_ref(), &window, ctx.as_ref(), prefetch, &mut bk)?;
-                }
-            }
-            bk.redo_us = self.clock.now_us() - t_redo;
-            self.trace.emit(EventKind::RecoveryPhaseEnd {
-                phase: RecoveryPhase::Redo,
-                worker: 0,
-                busy_us: bk.redo_us,
-            });
-        } else {
-            // ---- partitioned redo (see crate::precovery) ----
-            //
-            // Physiological methods replay SMOs inline during serial redo;
-            // the partitioned stream cannot, so they run as a serialized,
-            // DPT-screened barrier phase first (logical methods already
-            // replayed SMOs during DC recovery above). The barrier's work
-            // lands in the same counters the serial inline replay uses
-            // (`ops_reapplied` and the skip counters), keeping serial and
-            // parallel reports field-compatible.
-            if !method.is_logical() {
-                let t_smo = self.clock.now_us();
-                self.trace.emit(EventKind::RecoveryPhaseStart {
-                    phase: RecoveryPhase::SmoRedo,
-                    worker: 0,
-                });
-                let out = smo_barrier_physiological(
-                    self.dc.as_ref(),
-                    &window,
-                    dpt.as_ref().expect("physiological methods build a DPT"),
-                )?;
-                bk.ops_reapplied += out.pages_applied;
-                bk.skipped_no_dpt_entry += out.skipped_no_dpt_entry;
-                bk.skipped_rlsn += out.skipped_rlsn;
-                bk.skipped_plsn += out.skipped_plsn;
-                bk.smo_redo_us += self.clock.now_us() - t_smo;
-                self.trace.emit(EventKind::RecoveryPhaseEnd {
-                    phase: RecoveryPhase::SmoRedo,
-                    worker: 0,
-                    busy_us: self.clock.now_us() - t_smo,
-                });
-            }
-            parallel_redo(self.dc.as_ref(), &window, family, workers, &self.trace, &mut bk)?;
-            // The dispatcher's log re-scan rides the sequential-read model,
-            // like the serial pass's window re-read.
-            bk.partition_us += log_pages * model.log_page_read_us;
-        }
-        let ps_after = self.dc.pool().stats();
-        bk.data_pages_fetched = ps_after.data_page_misses - ps_before.data_page_misses;
-        bk.index_pages_fetched = ps_after.index_page_misses - ps_before.index_page_misses;
-        bk.data_stall_events = ps_after.data_stall_events - ps_before.data_stall_events;
-        bk.data_stall_us = ps_after.data_stall_us - ps_before.data_stall_us;
-        bk.index_stall_events = ps_after.index_stall_events - ps_before.index_stall_events;
-        bk.index_stall_us = ps_after.index_stall_us - ps_before.index_stall_us;
-
-        // ---- phase 2.5: volatile-structure rebuild ----
-        //
+        self.redo(spec, window, analysis, log_pages, workers, &mut bk)?;
         // Redo is exact at the page level (pLSN-guarded, and for the
         // parallel pipeline partition-exclusive), but a backend keeping
         // volatile per-key state cannot maintain it soundly during redo:
         // pLSN-skipped records never run their index maintenance, and
         // partitioned workers apply a moved key's delete and re-insert in
         // no defined relative order. The backend restores that state from
-        // the now-final pages here, before undo re-locates by key; the
-        // cost is reported as its own phase (a no-op for the B-tree).
-        let t_rebuild = self.clock.now_us();
-        self.trace
-            .emit(EventKind::RecoveryPhaseStart { phase: RecoveryPhase::IndexRebuild, worker: 0 });
-        self.dc.finish_redo()?;
-        bk.index_rebuild_us = self.clock.now_us() - t_rebuild;
-        self.trace.emit(EventKind::RecoveryPhaseEnd {
-            phase: RecoveryPhase::IndexRebuild,
-            worker: 0,
-            busy_us: bk.index_rebuild_us,
-        });
-
-        // ---- phase 3: transactional undo (common to all methods) ----
-        let t_undo = self.clock.now_us();
-        self.trace.emit(EventKind::RecoveryPhaseStart { phase: RecoveryPhase::Undo, worker: 0 });
-        let txn_analysis = analyze_txns(&window, &ckpt_active);
-        let undo = if workers <= 1 {
-            undo_losers(&self.tc, self.dc.as_ref(), &txn_analysis.losers)?
-        } else {
-            // Per-loser units on a shared queue; chains are independent
-            // (runtime key locks were exclusive) and CLRs ride the shared
-            // log's normal append path.
-            undo_losers_parallel(&self.tc, self.dc.as_ref(), &txn_analysis.losers, workers)?
-        };
-        // Undo's random-access log reads (device/IoStats view; the
-        // per-worker shards already charged them to their own clocks).
-        for _ in 0..undo.log_records_visited {
-            self.dc.pool().disk_mut().charge_log_page_read();
-        }
-        // Serial undo reports the shared-clock delta (the measured §5
-        // pipeline); parallel undo reports the busiest worker's shard —
-        // max-of-workers wall-clock, exactly like redo — instead of the
-        // shared clock, which parallel workers inflate to a sum-of-workers
-        // upper bound.
-        bk.undo_worker_busy_max_us = undo.busy_max_us;
-        bk.undo_worker_busy_total_us = undo.busy_us;
-        bk.undo_us = if workers <= 1 { self.clock.now_us() - t_undo } else { undo.busy_max_us };
-        bk.losers_undone = undo.losers_undone;
-        bk.undo_ops = undo.ops_undone;
-        bk.workers = workers as u64;
-        self.trace.emit(EventKind::RecoveryPhaseEnd {
-            phase: RecoveryPhase::Undo,
-            worker: 0,
-            busy_us: bk.undo_us,
-        });
+        // the now-final pages here, before undo re-locates by key (a no-op
+        // for the B-tree).
+        bk.index_rebuild_us =
+            self.phase(RecoveryPhase::IndexRebuild, || self.dc.finish_redo(), elapsed)?.1;
+        let undo = self.undo(&scan, workers, &mut bk)?;
 
         // ---- finish: back to normal execution ----
         let pool = self.dc.pool().stats();
@@ -627,15 +360,187 @@ impl Engine {
             method,
             breakdown: bk,
             window_records: window.len() as u64,
-            window_data_ops,
+            window_data_ops: window.iter().filter(|r| r.payload.is_data_op()).count() as u64,
             log_pages_in_window: log_pages,
             index_pages_loaded,
-            smo_pages_applied,
-            smo_pages_skipped,
+            smo_pages_applied: smo_pages.0,
+            smo_pages_skipped: smo_pages.1,
             undo,
             pool,
             io,
         })
+    }
+
+    /// Run one recovery phase on the caller's thread between its journal
+    /// span events. Returns `run`'s result and the span's busy µs,
+    /// `busy(result, the phase's elapsed SimClock µs)`.
+    fn phase<R>(
+        &self,
+        phase: RecoveryPhase,
+        run: impl FnOnce() -> Result<R>,
+        busy: impl FnOnce(&R, u64) -> u64,
+    ) -> Result<(R, u64)> {
+        let t0 = self.clock.now_us();
+        self.trace.emit(EventKind::RecoveryPhaseStart { phase, worker: 0 });
+        let out = run()?;
+        let busy_us = busy(&out, self.clock.now_us() - t0);
+        self.trace.emit(EventKind::RecoveryPhaseEnd { phase, worker: 0, busy_us });
+        Ok((out, busy_us))
+    }
+
+    /// Charge `n` log-page reads to the device.
+    fn charge_log_reads(&self, n: u64) {
+        let mut disk = self.dc.pool().disk_mut();
+        for _ in 0..n {
+            disk.charge_log_page_read();
+        }
+    }
+
+    /// Start the measurement window, then find the end of the log and the
+    /// redo window: one pass from the checkpoint anchor, every frame's
+    /// length and CRC checked and decoded once, the log cut at the first
+    /// torn one (crash mid-write). What it costs is a function of the
+    /// window, not of the log. Returns the scan and the window's log pages.
+    fn restart(&self, bk: &mut RecoveryBreakdown) -> Result<(RestartScan, u64)> {
+        self.clock.reset();
+        {
+            let pool = self.dc.pool();
+            pool.reset_stats();
+            let mut disk = pool.disk_mut();
+            disk.reset_device();
+            disk.set_timed(true);
+        }
+        let mut wal = self.wal.lock();
+        let scan = wal.restart()?;
+        let log_pages = wal.log_pages_between(scan.scan_start, wal.end_lsn());
+        bk.restart_scan_bytes = scan.scanned_bytes;
+        bk.restart_scan_records = scan.scanned_records;
+        self.restart_scan_bytes.fetch_add(scan.scanned_bytes, Ordering::Relaxed);
+        Ok((scan, log_pages))
+    }
+
+    /// Analysis: one sequential scan of the window (log-page I/O plus
+    /// per-record CPU), then the method's DPT construction.
+    fn analyze(
+        &self,
+        spec: MethodSpec,
+        scan: &RestartScan,
+        log_pages: u64,
+        bk: &mut RecoveryBreakdown,
+    ) -> Result<Analysis> {
+        let window = &scan.window;
+        self.charge_log_reads(log_pages);
+        bk.log_pages_read += log_pages;
+        let cpu_us = self.dc.pool().disk().io_model().cpu_log_record_us * window.len() as u64;
+        self.dc.pool().disk_mut().charge_cpu(cpu_us);
+        if spec.family == Family::Physiological {
+            // No DC recovery runs SMO redo (and with it the catalog
+            // reload) first; the tree handles must exist before apply_at.
+            self.dc.reload_catalog()?;
+        }
+        let (dpt, counts, tail_from, pf_list) = match spec.dpt {
+            DptSource::None => {
+                return Ok(Analysis { dpt: None, tail_from: Lsn::MAX, pf_list: Vec::new() })
+            }
+            DptSource::Delta(mode) => {
+                let a = build_dpt_logical(window, scan.rssp_lsn, mode);
+                (a.dpt, a.counts, a.last_delta_tc_lsn, a.pf_list)
+            }
+            DptSource::SqlAnalysis => {
+                let (dpt, counts) = build_dpt_sqlserver(window);
+                (dpt, counts, Lsn::MAX, Vec::new())
+            }
+            DptSource::AriesCkpt => {
+                let seed = window.iter().find_map(|r| match &r.payload {
+                    LogPayload::AriesCheckpoint { dpt } => Some(dpt),
+                    _ => None,
+                });
+                let seed = seed.ok_or_else(|| {
+                    Error::RecoveryInvariant(
+                        "no ARIES checkpoint DPT on the log — run the workload with \
+                         aries_ckpt_capture enabled"
+                            .into(),
+                    )
+                })?;
+                let (dpt, counts) = build_dpt_aries(seed, window);
+                (dpt, counts, Lsn::MAX, Vec::new())
+            }
+        };
+        bk.bw_records_seen = counts.bw_records;
+        bk.delta_records_seen = counts.delta_records;
+        bk.dpt_size = dpt.len() as u64;
+        Ok(Analysis { dpt: Some(dpt), tail_from, pf_list })
+    }
+
+    /// Redo: re-read the window sequentially and run the method's screen
+    /// loop into the inline sink (one worker) or the partitioned one.
+    fn redo(
+        &self,
+        spec: MethodSpec,
+        window: &[LogRecord],
+        analysis: Analysis,
+        log_pages: u64,
+        workers: usize,
+        bk: &mut RecoveryBreakdown,
+    ) -> Result<()> {
+        let dc = self.dc.as_ref();
+        let before = dc.pool().stats();
+        let Analysis { dpt, tail_from, pf_list } = analysis;
+        let screen = Screen::new(spec.family, spec.prefetch, dpt.as_ref(), tail_from, pf_list);
+        bk.log_pages_read += log_pages;
+        if workers <= 1 {
+            let run = || {
+                self.charge_log_reads(log_pages);
+                redo_inline(dc, window, screen, bk)
+            };
+            bk.redo_us = self.phase(RecoveryPhase::Redo, run, elapsed)?.1;
+        } else {
+            self.charge_log_reads(log_pages);
+            if let (Family::Physiological, Some(dpt)) = (spec.family, &dpt) {
+                let barrier = || smo_barrier(dc, window, dpt, bk);
+                bk.smo_redo_us = self.phase(RecoveryPhase::SmoRedo, barrier, elapsed)?.1;
+            }
+            parallel_redo(dc, window, screen, workers, &self.trace, bk)?;
+            // The dispatcher's log re-scan rides the sequential-read model,
+            // like the serial pass's window re-read.
+            bk.partition_us += log_pages * dc.pool().disk().io_model().log_page_read_us;
+        }
+        let after = dc.pool().stats();
+        bk.data_pages_fetched = after.data_page_misses - before.data_page_misses;
+        bk.index_pages_fetched = after.index_page_misses - before.index_page_misses;
+        bk.data_stall_events = after.data_stall_events - before.data_stall_events;
+        bk.data_stall_us = after.data_stall_us - before.data_stall_us;
+        bk.index_stall_events = after.index_stall_events - before.index_stall_events;
+        bk.index_stall_us = after.index_stall_us - before.index_stall_us;
+        Ok(())
+    }
+
+    /// Transactional undo, common to all methods. Serial undo reports the
+    /// shared-clock delta (the measured §5 pipeline); parallel undo the
+    /// busiest worker's shard — max-of-workers, like redo — since parallel
+    /// workers inflate the shared clock to a sum-of-workers bound.
+    fn undo(
+        &self,
+        scan: &RestartScan,
+        workers: usize,
+        bk: &mut RecoveryBreakdown,
+    ) -> Result<UndoStats> {
+        let run = || {
+            let losers = analyze_txns(&scan.window, &scan.ckpt_active).losers;
+            let undo = undo_losers(&self.tc, self.dc.as_ref(), &losers, workers)?;
+            // Undo's random-access log reads (device/IoStats view; the
+            // per-worker shards already charged them to their busy time).
+            self.charge_log_reads(undo.log_records_visited);
+            Ok(undo)
+        };
+        let busy = |undo: &UndoStats, us| if workers <= 1 { us } else { undo.busy_max_us };
+        let (undo, undo_us) = self.phase(RecoveryPhase::Undo, run, busy)?;
+        bk.undo_us = undo_us;
+        bk.undo_worker_busy_max_us = undo.busy_max_us;
+        bk.undo_worker_busy_total_us = undo.busy_us;
+        bk.losers_undone = undo.losers_undone;
+        bk.undo_ops = undo.ops_undone;
+        Ok(undo)
     }
 }
 

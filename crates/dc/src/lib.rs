@@ -14,9 +14,9 @@
 //!   analysis pass (Alg. 3), the logical Δ-based pass (Alg. 4), ARIES
 //!   checkpoint-seeded construction (§3.1), and the Appendix-D alternatives
 //!   (perfect DPT, reduced logging);
-//! * [`recovery`] is **DC recovery**: SMO redo (making B-trees well-formed
-//!   *before* the TC resubmits operations, §1.2) plus DPT construction and
-//!   PF-list assembly (Appendix A.2);
+//! * [`recovery`] is **DC recovery**'s SMO redo (making B-trees
+//!   well-formed *before* the TC resubmits operations, §1.2) and the
+//!   screened SMO replay of physiological redo;
 //! * [`DataComponent`] wires it together and services the TC's data
 //!   operations plus the EOSL / RSSP control operations (§4.1).
 
@@ -53,10 +53,7 @@ pub use dc::{DataComponent, DcConfig, PrepareInfo, WriteIntent};
 pub use dpt::{Dpt, DptEntry, DptScreen};
 pub use hash::HashDc;
 pub use logdc::LogDc;
-pub use recovery::{
-    dc_recover, replay_smo_screened, smo_barrier_physiological, smo_redo, DcRecoveryOutcome,
-    SmoBarrierOutcome,
-};
+pub use recovery::{replay_smo_screened, smo_redo, SmoBarrierOutcome};
 pub use remote::{remote_loopback, LoopbackTransport, RemoteDc, Transport};
 pub use server::DcServer;
 pub use tcp::{tcp_deploy, TcpDcServer, TcpTransport};

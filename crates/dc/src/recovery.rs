@@ -4,42 +4,23 @@
 //!
 //! 1. **SMO redo** — replay structure-modification system transactions so
 //!    every B-tree is well-formed. Without this, logical redo could not
-//!    even locate its target pages (§1.2).
-//! 2. **DPT construction** — run Algorithm 4 (or an Appendix-D variant)
-//!    over the Δ-log records, producing the DPT, the tail boundary
-//!    (`last Δ TC-LSN`), and the PF-list for prefetching.
+//!    even locate its target pages (§1.2). Physiological redo runs the
+//!    screened replay below instead, inside its own pass.
+//! 2. **DPT construction** — Algorithm 4 (or an Appendix-D variant) over
+//!    the Δ-log records, producing the DPT, the tail boundary (`last Δ
+//!    TC-LSN`) and the PF-list: [`crate::builders::build_dpt_logical`],
+//!    which the recovery driver's analysis phase calls.
 //!
 //! The caller supplies the decoded scan window (records from the redo scan
-//! start point) and the `rssp_lsn` recovered from the DC's durable RSSP
-//! note — both come out of the log's one restart pass
+//! start point), which comes out of the log's one restart pass
 //! ([`lr_wal::Wal::restart`]); log-page I/O for the scan is charged by the
 //! recovery driver.
 
-use crate::api::DcApi;
-use crate::builders::{build_dpt_logical, DeltaDptMode};
 use crate::dc::DataComponent;
 use crate::dpt::Dpt;
 use lr_common::{Lsn, PageId, Result};
 use lr_storage::Page;
 use lr_wal::{LogPayload, LogRecord};
-
-/// What DC recovery produced.
-#[derive(Clone, Debug)]
-pub struct DcRecoveryOutcome {
-    /// The constructed dirty page table.
-    pub dpt: Dpt,
-    /// TC-LSN of the last Δ-log record: the tail-of-log boundary (§4.3).
-    pub last_delta_tc_lsn: Lsn,
-    /// Prefetch list (Appendix A.2), in DirtySet order.
-    pub pf_list: Vec<PageId>,
-    /// Δ-log records consumed.
-    pub delta_records_seen: u64,
-    /// BW-log records present in the window (for Figure 2(c) reporting).
-    pub bw_records_seen: u64,
-    /// SMO page images applied / skipped by the pLSN test.
-    pub smo_pages_applied: u64,
-    pub smo_pages_skipped: u64,
-}
 
 /// Install SMO page images under the plain pLSN guard (no DPT screen —
 /// the DC-recovery setting, where no DPT exists yet). The one
@@ -141,32 +122,8 @@ pub fn smo_redo(dc: &DataComponent, window: &[LogRecord]) -> Result<(u64, u64)> 
     Ok((smo_pages_applied, smo_pages_skipped))
 }
 
-/// Run DC recovery over `window` (records from the redo scan start point).
-pub fn dc_recover(
-    dc: &dyn DcApi,
-    window: &[LogRecord],
-    rssp_lsn: Lsn,
-    mode: DeltaDptMode,
-) -> Result<DcRecoveryOutcome> {
-    let (smo_pages_applied, smo_pages_skipped) = dc.smo_redo(window)?;
-
-    // ---- DPT construction (Algorithm 4 / variants) ----
-    let analysis = build_dpt_logical(window, rssp_lsn, mode);
-
-    Ok(DcRecoveryOutcome {
-        dpt: analysis.dpt,
-        last_delta_tc_lsn: analysis.last_delta_tc_lsn,
-        pf_list: analysis.pf_list,
-        delta_records_seen: analysis.counts.delta_records,
-        bw_records_seen: analysis.counts.bw_records,
-        smo_pages_applied,
-        smo_pages_skipped,
-    })
-}
-
-/// Work counters of a screened SMO barrier pass (parallel physiological
-/// recovery). Field names mirror the `RecoveryBreakdown` counters the
-/// caller folds them into.
+/// Work counters of screened SMO replay (physiological redo). Field names
+/// mirror the `RecoveryBreakdown` counters the caller folds them into.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SmoBarrierOutcome {
     pub pages_applied: u64,
@@ -181,9 +138,8 @@ pub struct SmoBarrierOutcome {
 /// in-memory catalog. Returns the record's LSN when it moved a root —
 /// callers persist the catalog once, after the last root move.
 ///
-/// This is the single implementation serial physiological redo (inline,
-/// in LSN order) and the parallel barrier phase both call; keeping them
-/// on one code path is what guarantees they replay SMOs identically.
+/// The B-tree backend's implementation of
+/// [`crate::DcApi::replay_smo_screened`].
 pub fn replay_smo_screened(
     dc: &DataComponent,
     lsn: Lsn,
@@ -197,36 +153,6 @@ pub fn replay_smo_screened(
         return Ok(Some(lsn));
     }
     Ok(None)
-}
-
-/// Serialized SMO replay with the physiological redo test — the barrier
-/// phase parallel physiological recovery runs *before* data redo.
-///
-/// Serial physiological redo (Algorithm 1) replays SMO system-transaction
-/// records inline in LSN order; partitioned data redo cannot, because an
-/// SMO image install on a page that a worker already redid past would
-/// roll its pLSN (and contents) backward. Hoisting all SMO records into
-/// one pLSN-guarded, DPT-screened pass ahead of data redo is
-/// state-equivalent: a data record ordered before an SMO image of the
-/// same page is subsumed by the image (it executed before the image was
-/// captured), and one ordered after it survives the pLSN test.
-pub fn smo_barrier_physiological(
-    dc: &dyn DcApi,
-    window: &[LogRecord],
-    dpt: &Dpt,
-) -> Result<SmoBarrierOutcome> {
-    let mut out = SmoBarrierOutcome::default();
-    let mut root_moved = None;
-    for rec in window {
-        let LogPayload::Smo(smo) = &rec.payload else { continue };
-        if let Some(lsn) = dc.replay_smo_screened(rec.lsn, smo, dpt, &mut out)? {
-            root_moved = Some(lsn);
-        }
-    }
-    if let Some(lsn) = root_moved {
-        dc.save_catalog(lsn)?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -284,8 +210,8 @@ mod tests {
         // Crash: cache gone, stable pages pre-date some SMOs (nothing was
         // ever flushed except the meta page at registration).
         dc.crash();
-        let out = dc_recover(&dc, &records, Lsn::NULL, DeltaDptMode::Standard).unwrap();
-        assert!(out.smo_pages_applied > 0);
+        let (applied, _) = smo_redo(&dc, &records).unwrap();
+        assert!(applied > 0);
         assert_eq!(dc.table_root(TableId(1)).unwrap(), root_before, "root recovered");
         let tree = dc.tree(TableId(1)).unwrap().clone();
         lr_btree::verify_tree(&tree, dc.pool()).unwrap();
@@ -295,9 +221,9 @@ mod tests {
         // test sees the installed state on stable storage.
         dc.pool().flush_all().unwrap();
         dc.crash();
-        let out2 = dc_recover(&dc, &records, Lsn::NULL, DeltaDptMode::Standard).unwrap();
-        assert_eq!(out2.smo_pages_applied, 0, "idempotent: images already installed");
-        assert!(out2.smo_pages_skipped >= out.smo_pages_applied);
+        let (applied2, skipped2) = smo_redo(&dc, &records).unwrap();
+        assert_eq!(applied2, 0, "idempotent: images already installed");
+        assert!(skipped2 >= applied);
     }
 
     // Window discovery is the log's restart pass; these pin what DC

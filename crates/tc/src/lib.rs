@@ -28,4 +28,4 @@ pub use analysis::{analyze_txns, TxnAnalysis};
 pub use locks::LockManager;
 pub use tc::{TcStats, TransactionComponent};
 pub use txn::{TxnState, TxnTable};
-pub use undo::{rollback_to_savepoint, rollback_txn, undo_losers, undo_losers_parallel, UndoStats};
+pub use undo::{rollback_to_savepoint, rollback_txn, undo_losers, UndoStats};

@@ -6,12 +6,14 @@
 //! placement structure ([`DcApi::locate_key`] — a B-tree descent or a
 //! hash-index lookup, depending on the backend), writes a redo-only CLR,
 //! and applies the compensation (§2.2).
+#![deny(clippy::too_many_lines)]
 
 use crate::tc::TransactionComponent;
 use lr_common::{Lsn, Result, TxnId};
 use lr_dc::DcApi;
 use lr_wal::{ClrAction, LogPayload};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Work done by an undo pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -84,69 +86,20 @@ fn undo_chain(
         let rec = { wal.lock().read_at(cur)? };
         stats.log_records_visited += 1;
         stats.busy_us += model.log_page_read_us + model.cpu_log_record_us;
-        match rec.payload {
-            LogPayload::Update { txn: t, table, key, prev_lsn, before, .. } => {
-                debug_assert_eq!(t, txn);
-                // Compensation under the exclusive table latch: relocation,
-                // CLR logging and application must see one placement shape
-                // even with other sessions running.
-                let _latch = dc.lock_table_exclusive(table);
-                // Logical re-location: find (and warm) the page that now
-                // holds the key, keeping the device time on *this*
-                // worker's shard.
-                let loc = dc.locate_key(table, key)?;
-                stats.busy_us += model.cpu_btree_level_us * loc.levels as u64
-                    + loc.stall_us
-                    + model.cpu_apply_us;
-                let clr =
-                    tc.log_clr(txn, table, key, loc.pid, prev_lsn, ClrAction::RestoreValue(before));
-                dc.apply_at(loc.pid, &clr)?;
-                drop(_latch);
-                dc.pump_events();
-                stats.ops_undone += 1;
-                cur = prev_lsn;
+        let (t, table, key, prev_lsn, action) = match rec.payload {
+            LogPayload::Update { txn, table, key, prev_lsn, before, .. } => {
+                (txn, table, key, prev_lsn, ClrAction::RestoreValue(before))
             }
-            LogPayload::Insert { txn: t, table, key, prev_lsn, .. } => {
-                debug_assert_eq!(t, txn);
-                let _latch = dc.lock_table_exclusive(table);
-                let loc = dc.locate_key(table, key)?;
-                stats.busy_us += model.cpu_btree_level_us * loc.levels as u64
-                    + loc.stall_us
-                    + model.cpu_apply_us;
-                let clr = tc.log_clr(txn, table, key, loc.pid, prev_lsn, ClrAction::RemoveKey);
-                dc.apply_at(loc.pid, &clr)?;
-                drop(_latch);
-                dc.pump_events();
-                stats.ops_undone += 1;
-                cur = prev_lsn;
+            LogPayload::Insert { txn, table, key, prev_lsn, .. } => {
+                (txn, table, key, prev_lsn, ClrAction::RemoveKey)
             }
-            LogPayload::Delete { txn: t, table, key, prev_lsn, before, .. } => {
-                debug_assert_eq!(t, txn);
-                // Re-inserting may need page space: stage through the DC so
-                // any SMO is logged as usual. Warm the traversal first so
-                // the device stalls charge this worker's shard (the
-                // prepare_write below then runs against a hot path).
-                let _latch = dc.lock_table_exclusive(table);
-                let warm = dc.locate_key(table, key)?;
-                stats.busy_us += model.cpu_btree_level_us * warm.levels as u64
-                    + warm.stall_us
-                    + model.cpu_apply_us;
-                let info = dc.prepare_write(
-                    table,
-                    key,
-                    lr_dc::WriteIntent::Insert { value_len: before.len() },
-                )?;
-                let clr =
-                    tc.log_clr(txn, table, key, info.pid, prev_lsn, ClrAction::InsertValue(before));
-                dc.apply_at(info.pid, &clr)?;
-                drop(_latch);
-                dc.pump_events();
-                stats.ops_undone += 1;
-                cur = prev_lsn;
+            LogPayload::Delete { txn, table, key, prev_lsn, before, .. } => {
+                (txn, table, key, prev_lsn, ClrAction::InsertValue(before))
             }
             LogPayload::Clr { undo_next, .. } => {
                 // Already-compensated work: skip straight past it.
                 cur = undo_next;
+                continue;
             }
             LogPayload::TxnBegin { .. } => break,
             other => {
@@ -154,90 +107,79 @@ fn undo_chain(
                     "undo chain of {txn} reached unexpected record {other:?}"
                 )))
             }
-        }
+        };
+        debug_assert_eq!(t, txn);
+        // Compensation under the exclusive table latch: relocation, CLR
+        // logging and application must see one placement shape even with
+        // other sessions running.
+        let _latch = dc.lock_table_exclusive(table);
+        // Logical re-location: find (and warm) the page that now holds the
+        // key, keeping the device time on *this* worker's shard.
+        let loc = dc.locate_key(table, key)?;
+        stats.busy_us +=
+            model.cpu_btree_level_us * loc.levels as u64 + loc.stall_us + model.cpu_apply_us;
+        let pid = match &action {
+            // Re-inserting may need page space: stage through the DC so any
+            // SMO is logged as usual (on the path the locate just warmed).
+            ClrAction::InsertValue(v) => {
+                let intent = lr_dc::WriteIntent::Insert { value_len: v.len() };
+                dc.prepare_write(table, key, intent)?.pid
+            }
+            _ => loc.pid,
+        };
+        let clr = tc.log_clr(txn, table, key, pid, prev_lsn, action);
+        dc.apply_at(pid, &clr)?;
+        drop(_latch);
+        dc.pump_events();
+        stats.ops_undone += 1;
+        cur = prev_lsn;
     }
     stats.busy_max_us = stats.busy_max_us.max(stats.busy_us);
     Ok(())
 }
 
-/// Losers ordered highest chain head first (ARIES' single-pass backward
-/// processing order), adopted into the (post-crash, empty) transaction
-/// table so CLR logging and abort completion work normally. The returned
-/// list is the per-transaction work queue both undo drivers consume.
-fn adopt_and_order(tc: &TransactionComponent, losers: &BTreeMap<TxnId, Lsn>) -> Vec<(TxnId, Lsn)> {
-    let mut order: Vec<(TxnId, Lsn)> = losers.iter().map(|(t, l)| (*t, *l)).collect();
-    order.sort_unstable_by_key(|(_, lsn)| std::cmp::Reverse(*lsn));
-    for (txn, last) in &order {
-        tc.adopt_loser(*txn, *last);
-    }
-    order
-}
-
-/// One unit of recovery undo: roll back a single loser and count it.
-fn undo_one_loser(
-    tc: &TransactionComponent,
-    dc: &dyn DcApi,
-    txn: TxnId,
-    last: Lsn,
-    stats: &mut UndoStats,
-) -> Result<()> {
-    rollback_txn(tc, dc, txn, last, stats)?;
-    stats.losers_undone += 1;
-    Ok(())
-}
-
-/// The recovery undo pass: roll back every loser, highest chain head first
-/// (single-pass backward processing order, as ARIES prescribes).
-pub fn undo_losers(
-    tc: &TransactionComponent,
-    dc: &dyn DcApi,
-    losers: &BTreeMap<TxnId, Lsn>,
-) -> Result<UndoStats> {
-    let mut stats = UndoStats::default();
-    for (txn, last) in adopt_and_order(tc, losers) {
-        undo_one_loser(tc, dc, txn, last, &mut stats)?;
-    }
-    Ok(stats)
-}
-
-/// Concurrent recovery undo: the same per-transaction units as
-/// [`undo_losers`], pulled off a shared queue by up to `workers` threads.
+/// The recovery undo pass: roll back every loser, highest chain head
+/// first (ARIES' single-pass backward processing order), with up to
+/// `workers` threads claiming losers off one shared queue.
 ///
 /// Each loser's undo chain is independent — runtime key locks were
 /// exclusive, so no two in-flight transactions updated the same key — and
 /// CLRs append through the shared log's normal (group-commit-capable)
 /// path, so interleaving across losers only changes CLR placement on the
-/// log, never the compensated state. Workers still start from the
-/// highest-chain-head loser (the serial processing order) and merely
-/// overlap the tail.
-pub fn undo_losers_parallel(
+/// log, never the compensated state. One worker drains the queue on the
+/// caller's thread, in exactly the serial order; more start from the same
+/// highest-chain-head loser and merely overlap the tail.
+pub fn undo_losers(
     tc: &TransactionComponent,
     dc: &dyn DcApi,
     losers: &BTreeMap<TxnId, Lsn>,
     workers: usize,
 ) -> Result<UndoStats> {
     let workers = workers.clamp(1, losers.len().max(1));
-    if workers <= 1 {
-        return undo_losers(tc, dc, losers);
+    // Adopted into the (post-crash, empty) transaction table so CLR
+    // logging and abort completion work normally.
+    let mut order: Vec<(TxnId, Lsn)> = losers.iter().map(|(t, l)| (*t, *l)).collect();
+    order.sort_unstable_by_key(|(_, lsn)| std::cmp::Reverse(*lsn));
+    for (txn, last) in &order {
+        tc.adopt_loser(*txn, *last);
     }
-    let order = adopt_and_order(tc, losers);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let shards: Vec<Result<UndoStats>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut stats = UndoStats::default();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&(txn, last)) = order.get(i) else { break };
-                        undo_one_loser(tc, dc, txn, last, &mut stats)?;
-                    }
-                    Ok(stats)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("undo worker panicked")).collect()
-    });
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut stats = UndoStats::default();
+        while let Some(&(txn, last)) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            rollback_txn(tc, dc, txn, last, &mut stats)?;
+            stats.losers_undone += 1;
+        }
+        Ok(stats)
+    };
+    let shards: Vec<Result<UndoStats>> = if workers == 1 {
+        vec![drain()]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(drain)).collect();
+            handles.into_iter().map(|h| h.join().expect("undo worker panicked")).collect()
+        })
+    };
     let mut merged = UndoStats::default();
     for shard in shards {
         let shard = shard?;
@@ -334,7 +276,7 @@ mod tests {
         losers.insert(t1, tc.last_lsn_of(t1).unwrap());
         losers.insert(t2, tc.last_lsn_of(t2).unwrap());
 
-        let stats = undo_losers(&tc, &dc, &losers).unwrap();
+        let stats = undo_losers(&tc, &dc, &losers, 1).unwrap();
         assert_eq!(stats.losers_undone, 2);
         assert_eq!(dc.read(T, 0).unwrap().unwrap(), 0u64.to_le_bytes().to_vec());
         assert_eq!(dc.read(T, 1).unwrap().unwrap(), 1u64.to_le_bytes().to_vec());
@@ -360,7 +302,7 @@ mod tests {
             losers.insert(t, tc.last_lsn_of(t).unwrap());
         }
 
-        let stats = undo_losers_parallel(&tc, &dc, &losers, 4).unwrap();
+        let stats = undo_losers(&tc, &dc, &losers, 4).unwrap();
         assert_eq!(stats.losers_undone, 8);
         assert_eq!(stats.ops_undone, 24);
         for k in 0..32u64 {
@@ -383,7 +325,7 @@ mod tests {
         do_update(&tc, &dc, t1, 1, 77);
         let mut losers = BTreeMap::new();
         losers.insert(t1, tc.last_lsn_of(t1).unwrap());
-        let stats = undo_losers_parallel(&tc, &dc, &losers, 1).unwrap();
+        let stats = undo_losers(&tc, &dc, &losers, 1).unwrap();
         assert_eq!(stats.losers_undone, 1);
         assert_eq!(dc.read(T, 1).unwrap().unwrap(), 1u64.to_le_bytes().to_vec());
     }
@@ -416,12 +358,12 @@ mod tests {
         };
 
         let (tc_s, dc_s, losers_s) = build();
-        let serial = undo_losers(&tc_s, &dc_s, &losers_s).unwrap();
+        let serial = undo_losers(&tc_s, &dc_s, &losers_s, 1).unwrap();
         assert!(serial.busy_us > 0, "costed model must charge busy time");
         assert_eq!(serial.busy_max_us, serial.busy_us, "one worker did everything: max == total");
 
         let (tc_p, dc_p, losers_p) = build();
-        let parallel = undo_losers_parallel(&tc_p, &dc_p, &losers_p, 4).unwrap();
+        let parallel = undo_losers(&tc_p, &dc_p, &losers_p, 4).unwrap();
         assert_eq!(
             parallel.busy_us, serial.busy_us,
             "identical work ⇒ identical total busy charge regardless of workers"
@@ -457,7 +399,7 @@ mod tests {
         // "Crash": resume undo from the CLR (what analysis would find).
         let mut losers = BTreeMap::new();
         losers.insert(t1, clr.lsn);
-        let stats = undo_losers(&tc, &dc, &losers).unwrap();
+        let stats = undo_losers(&tc, &dc, &losers, 1).unwrap();
         // Only the two not-yet-compensated updates are undone.
         assert_eq!(stats.ops_undone, 2);
         for k in 0..3u64 {
