@@ -560,12 +560,45 @@ fn remote_recovery_ships_smo_records_not_the_redo_window() {
     assert_eq!(fork.read(DEFAULT_TABLE, 399).unwrap().unwrap(), deterministic_value(399, 1, vsize));
 }
 
+/// The pinned breakdown fields, in `REMOTE_MODELED` column order.
+fn modeled_fields(b: &lr_common::RecoveryBreakdown) -> [u64; 13] {
+    [
+        b.redo_us,
+        b.analysis_us,
+        b.smo_redo_us,
+        b.undo_us,
+        b.data_pages_fetched,
+        b.index_pages_fetched,
+        b.data_stall_us,
+        b.prefetch_pages,
+        b.prefetch_ios,
+        b.skipped_no_dpt_entry,
+        b.skipped_rlsn,
+        b.skipped_plsn,
+        b.ops_reapplied,
+    ]
+}
+
+/// Serial recovery's modeled breakdown for the `remote:btree` crash below,
+/// per method. Columns: redo, analysis, SMO-redo, undo (µs); data / index
+/// pages fetched, data stall µs, prefetch pages / I/Os; skipped no-entry /
+/// rLSN / pLSN, ops re-applied.
+const REMOTE_MODELED: [(&str, [u64; 13]); 5] = [
+    ("Log0", [340730, 4588, 32000, 1500, 42, 0, 336000, 0, 0, 0, 0, 102, 20]),
+    ("Log1", [148730, 4588, 32000, 9500, 18, 0, 144000, 0, 0, 71, 0, 31, 20]),
+    ("SQL1", [276608, 4588, 0, 9500, 33, 1, 264000, 0, 0, 32, 5, 71, 20]),
+    ("Log2", [148730, 4588, 32000, 9500, 18, 0, 144000, 0, 0, 71, 0, 31, 20]),
+    ("SQL2", [36083, 4588, 0, 9500, 33, 1, 31473, 34, 29, 32, 5, 71, 20]),
+];
+
 /// The crossings one recovery makes, per op, for a fixed `remote:btree`
 /// crash: each of the paper's five methods serially, and Log1 on two redo
-/// workers. Moving redo behind the DC boundary is judged against these.
+/// workers — and, under the default (costed) I/O model, each serial
+/// method's modeled breakdown. Moving redo behind the DC boundary is
+/// judged against these.
 #[test]
 fn remote_recovery_crossings_are_pinned_per_method() {
-    let cfg = config_for("remote:btree");
+    let cfg = EngineConfig { io_model: IoModel::default(), ..config_for("remote:btree") };
     let mut shadow = ShadowDb::with_initial_rows(&cfg);
     let engine = Engine::build(cfg).unwrap();
     run_workload(&engine, &mut shadow);
@@ -588,22 +621,26 @@ fn remote_recovery_crossings_are_pinned_per_method() {
     }
     engine.crash();
 
-    let crossings = |method: RecoveryMethod, workers: usize| {
+    let recover = |method: RecoveryMethod, workers: usize| {
         let fork = engine.fork_crashed().unwrap();
         let before = wire_counts(&fork);
-        fork.recover_with(method, RecoveryOptions::with_workers(workers)).unwrap();
+        let report = fork.recover_with(method, RecoveryOptions::with_workers(workers)).unwrap();
         let delta: Vec<(&str, u64)> = wire_counts(&fork)
             .iter()
             .map(|(op, n)| (*op, n - before.get(op).copied().unwrap_or(0)))
             .filter(|(_, n)| *n > 0)
             .collect();
-        delta
+        (delta, report.breakdown)
     };
     let mut got = Vec::new();
+    let mut modeled = Vec::new();
     for method in RecoveryMethod::paper_five() {
-        got.push((method.name(), 1, crossings(method, 1)));
+        let (delta, breakdown) = recover(method, 1);
+        got.push((method.name(), 1, delta));
+        modeled.push((method.name(), modeled_fields(&breakdown)));
     }
-    got.push(("Log1", 2, crossings(RecoveryMethod::Log1, 2)));
+    got.push(("Log1", 2, recover(RecoveryMethod::Log1, 2).0));
+    assert_eq!(modeled, REMOTE_MODELED, "one row per method, in paper order");
 
     // Every method: redo and undo applies, the two compensations' locate /
     // latch / pump, the post-redo rebuild hook, the closing checkpoint.
