@@ -503,8 +503,10 @@ impl BufferPool {
         let _ = self.trace.set(sink);
     }
 
+    /// The attached journal, if tracing is on (the DC's recovery passes
+    /// journal their spans through it too).
     #[inline]
-    fn trace(&self) -> Option<&TraceSink> {
+    pub fn trace(&self) -> Option<&TraceSink> {
         self.trace.get().filter(|s| s.is_enabled())
     }
 

@@ -115,7 +115,7 @@ impl IoStats {
 /// Per-phase timing and work counters for one recovery run.
 ///
 /// `*_us` fields are simulated microseconds from the [`crate::SimClock`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryBreakdown {
     /// Analysis pass (DPT construction; "DC redo" pass for logical methods).
     pub analysis_us: u64,
@@ -260,6 +260,44 @@ impl RecoveryBreakdown {
     pub fn pages_fetched(&self) -> u64 {
         self.data_pages_fetched + self.index_pages_fetched
     }
+
+    /// The redo shard: the fields the data component's redo pass fills,
+    /// in a fixed order — the order they cross a message boundary in.
+    pub fn redo_shard_mut(&mut self) -> [&mut u64; 21] {
+        [
+            &mut self.smo_redo_us,
+            &mut self.redo_us,
+            &mut self.partition_us,
+            &mut self.merge_us,
+            &mut self.worker_busy_max_us,
+            &mut self.worker_busy_total_us,
+            &mut self.queue_stall_us,
+            &mut self.data_pages_fetched,
+            &mut self.index_pages_fetched,
+            &mut self.redo_records_seen,
+            &mut self.skipped_no_dpt_entry,
+            &mut self.skipped_rlsn,
+            &mut self.skipped_plsn,
+            &mut self.ops_reapplied,
+            &mut self.tail_records,
+            &mut self.data_stall_events,
+            &mut self.data_stall_us,
+            &mut self.index_stall_events,
+            &mut self.index_stall_us,
+            &mut self.prefetch_ios,
+            &mut self.prefetch_pages,
+        ]
+    }
+
+    /// Fold a redo pass's shard into this report. Additive: before redo
+    /// every shard field reads zero here but the prefetch counters
+    /// (index preload's) and `smo_redo_us` (a logical method's DC
+    /// recovery, which a barrier-running physiological pass never has).
+    pub fn add_redo_shard(&mut self, mut shard: RecoveryBreakdown) {
+        for (into, from) in self.redo_shard_mut().into_iter().zip(shard.redo_shard_mut()) {
+            *into += *from;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -334,6 +372,20 @@ mod tests {
         assert!((b.total_ms() - 14.0).abs() < f64::EPSILON);
         // redo_ms stays the redo pass alone (the paper's headline metric).
         assert!((b.redo_ms() - 10.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn redo_shard_adds_into_the_report() {
+        let mut report = RecoveryBreakdown {
+            analysis_us: 9,
+            dpt_size: 4,
+            prefetch_pages: 3,
+            ..Default::default()
+        };
+        let shard = RecoveryBreakdown { prefetch_pages: 5, ops_reapplied: 2, ..Default::default() };
+        report.add_redo_shard(shard);
+        assert_eq!((report.prefetch_pages, report.ops_reapplied), (8, 2));
+        assert_eq!((report.analysis_us, report.dpt_size), (9, 4), "not shard fields");
     }
 
     #[test]

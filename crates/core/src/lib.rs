@@ -80,7 +80,6 @@ pub mod config;
 pub mod costmodel;
 pub mod engine;
 pub mod maintenance;
-pub mod methods;
 pub mod precovery;
 pub mod recovery;
 pub mod replica;

@@ -1,12 +1,13 @@
 //! Parallel recovery — the `workers ≥ 2` side of the §5 pipeline.
 //!
-//! * **Redo** keeps the method's one screen loop ([`crate::methods`]) as
-//!   its dispatcher; the partitioned sink routes survivors into bounded
-//!   per-partition queues keyed by `hash(PID)`, and each worker drains its
-//!   queue in FIFO — strictly ascending LSN — order through the same
-//!   fetch / pLSN test / apply kernel the inline sink runs. A page belongs
-//!   to exactly one partition, so per-page apply order equals log order
-//!   and pLSN idempotence makes cross-partition interleaving irrelevant:
+//! * **Redo** runs inside the data component ([`lr_dc::redo`]), inline
+//!   or partitioned: the method's one screen loop is the dispatcher, its
+//!   sink routes survivors into bounded per-partition queues keyed by
+//!   `hash(PID)`, and each worker drains its queue in FIFO — strictly
+//!   ascending LSN — order through the same fetch / pLSN test / apply
+//!   kernel the inline sink runs. A page belongs to exactly one
+//!   partition, so per-page apply order equals log order and pLSN
+//!   idempotence makes cross-partition interleaving irrelevant:
 //!   workers=N is byte-equivalent to workers=1 (`recovery_equivalence`
 //!   asserts it for every method). SMO replay stays serialized, as a
 //!   barrier before data redo for the physiological family (logical
@@ -35,17 +36,14 @@
 //! simulated device time.
 #![deny(clippy::too_many_lines)]
 
-mod redo;
-
-pub(crate) use redo::parallel_redo;
-
 /// Knobs for one recovery run ([`crate::Engine::recover_with`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryOptions {
     /// Redo/undo worker threads. 1 runs redo's screen loop into the inline
-    /// sink — fetch, pLSN test and apply on the caller's thread, charging
-    /// the shared SimClock in program order (the §5 measured path) — and
-    /// undo on the caller's thread. ≥2 feeds the partitioned sink instead
+    /// sink — fetch, pLSN test and apply on the one thread serving the
+    /// DC's redo call, charging the shared SimClock in program order (the
+    /// §5 measured path) — and undo on the caller's thread. ≥2 feeds the
+    /// DC's partitioned sink instead
     /// (a dispatcher routing to that many redo workers, see above) and
     /// undoes losers on that many threads.
     pub workers: usize,

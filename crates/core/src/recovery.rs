@@ -11,11 +11,13 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::engine::Engine;
-use crate::methods::{redo_inline, smo_barrier, Family, Prefetch, Screen};
-use crate::precovery::{parallel_redo, RecoveryOptions};
+use crate::precovery::RecoveryOptions;
 use lr_buffer::PoolStats;
 use lr_common::{Error, IoStats, Lsn, PageId, RecoveryBreakdown, Result};
-use lr_dc::{build_dpt_aries, build_dpt_logical, build_dpt_sqlserver, DeltaDptMode, Dpt};
+use lr_dc::{
+    build_dpt_aries, build_dpt_logical, build_dpt_sqlserver, DeltaDptMode, Dpt, Family, Prefetch,
+    RedoPlan,
+};
 use lr_obs::{EventKind, RecoveryPhase};
 use lr_tc::{analyze_txns, undo_losers, UndoStats};
 use lr_wal::{LogPayload, LogRecord, RestartScan};
@@ -71,6 +73,19 @@ struct MethodSpec {
     prefetch: Prefetch,
     /// Load every index page before redo (Appendix A.1).
     preload: bool,
+}
+
+impl MethodSpec {
+    /// This row's redo plan around what analysis built.
+    fn plan(
+        self,
+        dpt: Option<Dpt>,
+        tail_from: Lsn,
+        pf_list: Vec<PageId>,
+        workers: usize,
+    ) -> RedoPlan {
+        RedoPlan { family: self.family, prefetch: self.prefetch, dpt, tail_from, pf_list, workers }
+    }
 }
 
 const fn spec(
@@ -257,17 +272,6 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// What analysis hands redo.
-struct Analysis {
-    /// `None` for Log0.
-    dpt: Option<Dpt>,
-    /// Where the tail of the log starts: the last Δ record's TC-LSN for a
-    /// Δ-built DPT, `Lsn::MAX` for a DPT covering the whole window.
-    tail_from: Lsn,
-    /// The PF-list (Appendix A.2), for Δ-built DPTs.
-    pf_list: Vec<PageId>,
-}
-
 /// A phase's span busy time when it is the phase's SimClock delta.
 fn elapsed<R>(_: &R, us: u64) -> u64 {
     us
@@ -313,8 +317,8 @@ impl Engine {
         let (scan, log_pages) = self.restart(&mut bk)?;
         let window = &scan.window;
 
-        let analyze = || self.analyze(spec, &scan, log_pages, &mut bk);
-        let (analysis, analysis_us) = self.phase(RecoveryPhase::Analysis, analyze, elapsed)?;
+        let analyze = || self.analyze(spec, &scan, log_pages, workers, &mut bk);
+        let (plan, analysis_us) = self.phase(RecoveryPhase::Analysis, analyze, elapsed)?;
         bk.analysis_us = analysis_us;
         let mut smo_pages = (0, 0);
         if spec.family == Family::Logical {
@@ -332,7 +336,7 @@ impl Engine {
             bk.prefetch_pages += pl.prefetch_pages;
             bk.index_preload_us = us;
         }
-        self.redo(spec, window, analysis, log_pages, workers, &mut bk)?;
+        self.redo(window, &plan, log_pages, &mut bk)?;
         // Redo is exact at the page level (pLSN-guarded, and for the
         // parallel pipeline partition-exclusive), but a backend keeping
         // volatile per-key state cannot maintain it soundly during redo:
@@ -346,9 +350,12 @@ impl Engine {
         let undo = self.undo(&scan, workers, &mut bk)?;
 
         // ---- finish: back to normal execution ----
-        let pool = self.dc.pool().stats();
-        let io = self.dc.pool().disk().stats();
-        self.dc.pool().disk_mut().set_timed(false);
+        let (pool, io) = {
+            let pool = self.dc.pool();
+            let stats = (pool.stats(), pool.disk().stats());
+            pool.disk_mut().set_timed(false);
+            stats
+        };
         self.crashed.store(false, Ordering::Release);
         // Post-recovery checkpoint: flushes redone state so the Δ/BW stream
         // restarts from a clean slate (untimed; recovery proper has ended).
@@ -420,28 +427,31 @@ impl Engine {
     }
 
     /// Analysis: one sequential scan of the window (log-page I/O plus
-    /// per-record CPU), then the method's DPT construction.
+    /// per-record CPU), then the method's DPT construction. Returns what
+    /// redo runs: the method's row plus the DPT, tail and PF-list.
     fn analyze(
         &self,
         spec: MethodSpec,
         scan: &RestartScan,
         log_pages: u64,
+        workers: usize,
         bk: &mut RecoveryBreakdown,
-    ) -> Result<Analysis> {
+    ) -> Result<RedoPlan> {
         let window = &scan.window;
         self.charge_log_reads(log_pages);
         bk.log_pages_read += log_pages;
-        let cpu_us = self.dc.pool().disk().io_model().cpu_log_record_us * window.len() as u64;
-        self.dc.pool().disk_mut().charge_cpu(cpu_us);
+        {
+            let mut disk = self.dc.pool().disk_mut();
+            let cpu_us = disk.io_model().cpu_log_record_us * window.len() as u64;
+            disk.charge_cpu(cpu_us);
+        }
         if spec.family == Family::Physiological {
             // No DC recovery runs SMO redo (and with it the catalog
             // reload) first; the tree handles must exist before apply_at.
             self.dc.reload_catalog()?;
         }
         let (dpt, counts, tail_from, pf_list) = match spec.dpt {
-            DptSource::None => {
-                return Ok(Analysis { dpt: None, tail_from: Lsn::MAX, pf_list: Vec::new() })
-            }
+            DptSource::None => return Ok(spec.plan(None, Lsn::MAX, Vec::new(), workers)),
             DptSource::Delta(mode) => {
                 let a = build_dpt_logical(window, scan.rssp_lsn, mode);
                 (a.dpt, a.counts, a.last_delta_tc_lsn, a.pf_list)
@@ -469,49 +479,37 @@ impl Engine {
         bk.bw_records_seen = counts.bw_records;
         bk.delta_records_seen = counts.delta_records;
         bk.dpt_size = dpt.len() as u64;
-        Ok(Analysis { dpt: Some(dpt), tail_from, pf_list })
+        Ok(spec.plan(Some(dpt), tail_from, pf_list, workers))
     }
 
-    /// Redo: re-read the window sequentially and run the method's screen
-    /// loop into the inline sink (one worker) or the partitioned one.
+    /// Redo: re-read the window sequentially, then hand it and `plan` to
+    /// the DC, which runs the whole pass against its own pages
+    /// ([`lr_dc::DcApi::redo`]) and returns the redo shard. Serial redo is
+    /// the `Redo` span's SimClock delta; the partitioned pipeline reports
+    /// its own spans and busiest-worker time.
     fn redo(
         &self,
-        spec: MethodSpec,
         window: &[LogRecord],
-        analysis: Analysis,
+        plan: &RedoPlan,
         log_pages: u64,
-        workers: usize,
         bk: &mut RecoveryBreakdown,
     ) -> Result<()> {
-        let dc = self.dc.as_ref();
-        let before = dc.pool().stats();
-        let Analysis { dpt, tail_from, pf_list } = analysis;
-        let screen = Screen::new(spec.family, spec.prefetch, dpt.as_ref(), tail_from, pf_list);
         bk.log_pages_read += log_pages;
-        if workers <= 1 {
+        if plan.workers <= 1 {
             let run = || {
                 self.charge_log_reads(log_pages);
-                redo_inline(dc, window, screen, bk)
+                self.dc.redo(window, plan)
             };
-            bk.redo_us = self.phase(RecoveryPhase::Redo, run, elapsed)?.1;
+            let (shard, us) = self.phase(RecoveryPhase::Redo, run, elapsed)?;
+            bk.add_redo_shard(shard);
+            bk.redo_us = us;
         } else {
             self.charge_log_reads(log_pages);
-            if let (Family::Physiological, Some(dpt)) = (spec.family, &dpt) {
-                let barrier = || smo_barrier(dc, window, dpt, bk);
-                bk.smo_redo_us = self.phase(RecoveryPhase::SmoRedo, barrier, elapsed)?.1;
-            }
-            parallel_redo(dc, window, screen, workers, &self.trace, bk)?;
+            bk.add_redo_shard(self.dc.redo(window, plan)?);
             // The dispatcher's log re-scan rides the sequential-read model,
             // like the serial pass's window re-read.
-            bk.partition_us += log_pages * dc.pool().disk().io_model().log_page_read_us;
+            bk.partition_us += log_pages * self.dc.pool().disk().io_model().log_page_read_us;
         }
-        let after = dc.pool().stats();
-        bk.data_pages_fetched = after.data_page_misses - before.data_page_misses;
-        bk.index_pages_fetched = after.index_page_misses - before.index_page_misses;
-        bk.data_stall_events = after.data_stall_events - before.data_stall_events;
-        bk.data_stall_us = after.data_stall_us - before.data_stall_us;
-        bk.index_stall_events = after.index_stall_events - before.index_stall_events;
-        bk.index_stall_us = after.index_stall_us - before.index_stall_us;
         Ok(())
     }
 

@@ -48,18 +48,18 @@
 //! * **Crash/recovery**: [`DcApi::crash`] discards every volatile
 //!   structure while stable pages survive; [`DcApi::smo_redo`] must make
 //!   the index well-formed before any logical redo (§1.2), and
-//!   [`DcApi::resolve_redo_pid`] resolves a data record to the page redo
-//!   should test — by key traversal for the B-tree, by logged PID for a
-//!   page-logical backend.
+//!   [`DcApi::redo`] runs the whole redo pass DC-side: the TC ships the
+//!   window and its analysis's [`RedoPlan`], the DC resolves each record's
+//!   page — by key traversal for the B-tree, by logged PID for a
+//!   page-logical backend — screens, prefetches and applies.
 
 use crate::dc::{DcConfig, DcStats, PrepareInfo, WriteIntent};
-use crate::dpt::Dpt;
-use crate::recovery::SmoBarrierOutcome;
+use crate::redo::RedoPlan;
 use crate::telemetry::WireTelemetrySnapshot;
 use lr_buffer::BufferPool;
-use lr_common::{Key, Lsn, PageId, Result, TableId, Value};
+use lr_common::{Key, Lsn, PageId, RecoveryBreakdown, Result, TableId, Value};
 use lr_storage::Disk;
-use lr_wal::{LogRecord, SharedWal, SmoRecord};
+use lr_wal::{LogRecord, SharedWal};
 use std::sync::Arc;
 
 /// What pins a [`PreparedOp`]'s placement. In process that is whatever
@@ -374,25 +374,14 @@ pub trait DcApi: DcIntrospect {
     /// Returns `(pages applied, pages skipped)`.
     fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)>;
 
-    /// Replay one SMO record with the physiological redo screen (DPT +
-    /// rLSN + pLSN); installs surviving page images wholesale. Returns
-    /// the record's LSN when it moved a placement anchor — callers
-    /// persist the catalog once, after the last move. One implementation
-    /// per backend serves both serial inline replay and the parallel
-    /// barrier phase, so the two can never drift.
-    fn replay_smo_screened(
-        &self,
-        lsn: Lsn,
-        smo: &SmoRecord,
-        dpt: &Dpt,
-        out: &mut SmoBarrierOutcome,
-    ) -> Result<Option<Lsn>>;
-
-    /// Resolve a data record to the page redo must test: by key traversal
-    /// for a logical backend (the logged PID is advisory), by the logged
-    /// PID for a page-logical backend. `logged_pid` is the PID the TC
-    /// piggybacked on the record.
-    fn resolve_redo_pid(&self, table: TableId, key: Key, logged_pid: PageId) -> Result<Located>;
+    /// Redo (Algorithms 1, 2 and 5): run `plan` — what the TC's analysis
+    /// decided — over the scan `window` against this DC's own pages:
+    /// screen, read ahead, replay SMOs (physiological family) and apply,
+    /// inline or on `plan.workers` partitioned workers
+    /// ([`crate::redo`]). Returns the pass's breakdown shard
+    /// ([`RecoveryBreakdown::redo_shard_mut`]), page-fetch and stall
+    /// counters included.
+    fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown>;
 
     /// Locate the page currently (or prospectively) holding `key` for
     /// undo compensation — logical re-location, since the record may have

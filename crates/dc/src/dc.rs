@@ -52,11 +52,14 @@ use crate::api::{
     DcApi, DcIntrospect, Located, PreloadStats, PreparedOp, TableGuard, TableSummary,
 };
 use crate::catalog::{Catalog, META_PAGE};
+use crate::dpt::Dpt;
+use crate::recovery::SmoBarrierOutcome;
+use crate::redo::{RedoBackend, RedoPlan};
 use crate::trackers::TrackerPair;
 use lr_btree::BTree;
 use lr_buffer::BufferPool;
 use lr_common::latch::{Latch, LatchReadGuard, LatchWriteGuard};
-use lr_common::{Error, Histogram, Key, Lsn, PageId, Result, TableId, Value};
+use lr_common::{Error, Histogram, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId, Value};
 use lr_obs::{EventKind, TraceSink};
 use lr_storage::{Disk, SLOT_SIZE};
 use lr_wal::{ClrAction, LogPayload, LogRecord, SharedWal, SmoRecord};
@@ -1050,16 +1053,6 @@ impl DataComponent {
     // resolution / verification (the DcApi recovery hooks)
     // ------------------------------------------------------------------
 
-    /// Logical redo resolution: traverse internal pages to the leaf that
-    /// holds (or would hold) `key` — Algorithm 5 line 4. The logged PID is
-    /// advisory for this backend; the tree, made well-formed by SMO redo,
-    /// is authoritative.
-    pub fn resolve_redo_pid(&self, table: TableId, key: Key) -> Result<Located> {
-        let tree = self.tree(table)?;
-        let (pid, levels, stall_us) = tree.find_leaf_pid_timed(&self.pool, key)?;
-        Ok(Located { pid, levels, stall_us })
-    }
-
     /// Undo re-location: traverse to the leaf currently holding `key` and
     /// warm it, so the caller's compensation applies against a resident
     /// page and the device stalls land on the calling worker's shard.
@@ -1254,18 +1247,8 @@ impl DcApi for DataComponent {
         crate::recovery::smo_redo(self, window)
     }
 
-    fn replay_smo_screened(
-        &self,
-        lsn: Lsn,
-        smo: &SmoRecord,
-        dpt: &crate::dpt::Dpt,
-        out: &mut crate::recovery::SmoBarrierOutcome,
-    ) -> Result<Option<Lsn>> {
-        crate::recovery::replay_smo_screened(self, lsn, smo, dpt, out)
-    }
-
-    fn resolve_redo_pid(&self, table: TableId, key: Key, _logged_pid: PageId) -> Result<Located> {
-        DataComponent::resolve_redo_pid(self, table, key)
+    fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
+        crate::redo::run(self, window, plan)
     }
 
     fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
@@ -1282,5 +1265,52 @@ impl DcApi for DataComponent {
 
     fn reopen(&self, disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
         Ok(Arc::new(DataComponent::open(disk, wal, cfg)?))
+    }
+}
+
+impl RedoBackend for DataComponent {
+    /// Logical redo resolution: traverse internal pages to the leaf that
+    /// holds (or would hold) `key` — Algorithm 5 line 4. The logged PID is
+    /// advisory for this backend; the tree, made well-formed by SMO redo,
+    /// is authoritative.
+    fn resolve_redo_pid(&self, table: TableId, key: Key, _logged_pid: PageId) -> Result<Located> {
+        let tree = self.tree(table)?;
+        let (pid, levels, stall_us) = tree.find_leaf_pid_timed(&self.pool, key)?;
+        Ok(Located { pid, levels, stall_us })
+    }
+
+    fn replay_smo_screened(
+        &self,
+        lsn: Lsn,
+        smo: &SmoRecord,
+        dpt: &Dpt,
+        out: &mut SmoBarrierOutcome,
+    ) -> Result<Option<Lsn>> {
+        crate::recovery::replay_smo_screened(self, lsn, smo, dpt, out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lr_common::{IoModel, SimClock};
+    use lr_storage::SimDisk;
+    use lr_wal::Wal;
+
+    #[test]
+    fn preload_index_touches_every_internal_page() {
+        let mut disk = SimDisk::new(512, 0, SimClock::new(), IoModel::default());
+        DataComponent::format_disk(&mut disk).unwrap();
+        let rows = (0..3_000u64).map(|k| (k, vec![k as u8; 32]));
+        let root = lr_btree::bulk_load(&mut disk, TableId(1), rows, 0.9).unwrap();
+        let cfg = DcConfig { pool_pages: 1024, ..DcConfig::default() };
+        let dc = DataComponent::open(Box::new(disk), Wal::new_shared(4096), cfg).unwrap();
+        dc.register_table(TableId(1), root).unwrap();
+        let loaded = DcApi::preload_index(&dc).unwrap();
+        let internals = dc.tree(TableId(1)).unwrap().clone().internal_pids(dc.pool()).unwrap();
+        assert_eq!(loaded.pages_loaded, internals.len() as u64);
+        for pid in internals {
+            assert!(dc.pool().contains(pid), "internal page {pid} not cached");
+        }
     }
 }

@@ -33,7 +33,7 @@ pub enum DptScreen {
 }
 
 /// The dirty page table.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Dpt {
     entries: HashMap<PageId, DptEntry>,
 }

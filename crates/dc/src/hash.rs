@@ -19,8 +19,9 @@
 //!
 //! The paper's logical methods re-traverse the B-tree to resolve each
 //! record's page. This backend has no durable index to traverse, so its
-//! [`DcApi::resolve_redo_pid`] returns the **logged PID** — redo replays
-//! exactly where history put the record (page-oriented logical redo), and
+//! redo resolution (`RedoBackend::resolve_redo_pid`) returns the **logged
+//! PID** — redo replays exactly where history put the record
+//! (page-oriented logical redo), and
 //! the DPT/rLSN/pLSN screens apply unchanged. Every recovery method of
 //! the spectrum therefore works against this backend, and must produce
 //! committed state identical to the B-tree backend's (the
@@ -51,12 +52,13 @@ use crate::catalog::{Catalog, META_PAGE};
 use crate::dc::{DcConfig, DcCounters, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
+use crate::redo::{RedoBackend, RedoPlan};
 use crate::trackers::TrackerPair;
 use lr_btree::node::{leaf_record, parse_leaf_record, search};
 use lr_btree::{internal_entry, parse_internal_entry};
 use lr_buffer::BufferPool;
 use lr_common::latch::Latch;
-use lr_common::{shard_index, Error, Key, Lsn, PageId, Result, TableId, Value};
+use lr_common::{shard_index, Error, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId, Value};
 use lr_storage::{Disk, Page, PageType, PAGE_HEADER_SIZE, SLOT_SIZE};
 use lr_wal::{ClrAction, LogPayload, LogRecord, SharedWal, SmoRecord};
 use parking_lot::{Mutex, RwLock};
@@ -937,19 +939,8 @@ impl DcApi for HashDc {
         Ok((applied, skipped))
     }
 
-    fn replay_smo_screened(
-        &self,
-        lsn: Lsn,
-        smo: &SmoRecord,
-        dpt: &Dpt,
-        out: &mut SmoBarrierOutcome,
-    ) -> Result<Option<Lsn>> {
-        let installed =
-            crate::recovery::screened_smo_install(&self.pool, lsn, &smo.pages, dpt, out)?;
-        self.refresh_index_for(&installed)?;
-        // Hash SMOs never move a catalog anchor.
-        debug_assert!(smo.new_root.is_none());
-        Ok(None)
+    fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
+        crate::redo::run(self, window, plan)
     }
 
     fn finish_redo(&self) -> Result<()> {
@@ -961,13 +952,6 @@ impl DcApi for HashDc {
         // partition-exclusive) are exact. Rebuild the volatile index from
         // the now-final chains.
         self.rebuild_all_maps()
-    }
-
-    fn resolve_redo_pid(&self, _table: TableId, _key: Key, logged_pid: PageId) -> Result<Located> {
-        // Page-logical redo: replay exactly where history applied the
-        // operation. No traversal, no index dependency — the volatile
-        // index is rebuilt from chains, not consulted, during redo.
-        Ok(Located { pid: logged_pid, levels: 0, stall_us: 0 })
     }
 
     fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
@@ -1000,6 +984,30 @@ impl DcApi for HashDc {
 
     fn reopen(&self, disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
         Ok(Arc::new(HashDc::open(disk, wal, cfg)?))
+    }
+}
+
+impl RedoBackend for HashDc {
+    fn resolve_redo_pid(&self, _table: TableId, _key: Key, logged_pid: PageId) -> Result<Located> {
+        // Page-logical redo: replay exactly where history applied the
+        // operation. No traversal, no index dependency — the volatile
+        // index is rebuilt from chains, not consulted, during redo.
+        Ok(Located { pid: logged_pid, levels: 0, stall_us: 0 })
+    }
+
+    fn replay_smo_screened(
+        &self,
+        lsn: Lsn,
+        smo: &SmoRecord,
+        dpt: &Dpt,
+        out: &mut SmoBarrierOutcome,
+    ) -> Result<Option<Lsn>> {
+        let installed =
+            crate::recovery::screened_smo_install(&self.pool, lsn, &smo.pages, dpt, out)?;
+        self.refresh_index_for(&installed)?;
+        // Hash SMOs never move a catalog anchor.
+        debug_assert!(smo.new_root.is_none());
+        Ok(None)
     }
 }
 

@@ -17,6 +17,11 @@
 //! * [`recovery`] is **DC recovery**'s SMO redo (making B-trees
 //!   well-formed *before* the TC resubmits operations, §1.2) and the
 //!   screened SMO replay of physiological redo;
+//! * [`redo`] is the redo pass itself, run next to the pages: the TC
+//!   ships the scan window and its analysis's [`RedoPlan`] through
+//!   [`DcApi::redo`] — one crossing, however remote the DC — and every
+//!   backend runs the same screen loop, prefetchers, inline sink and
+//!   partitioned workers against its own pool;
 //! * [`DataComponent`] wires it together and services the TC's data
 //!   operations plus the EOSL / RSSP control operations (§4.1).
 
@@ -29,6 +34,7 @@ pub mod dpt;
 pub mod hash;
 pub mod logdc;
 pub mod recovery;
+pub mod redo;
 pub mod remote;
 pub mod server;
 pub mod tcp;
@@ -53,7 +59,8 @@ pub use dc::{DataComponent, DcConfig, PrepareInfo, WriteIntent};
 pub use dpt::{Dpt, DptEntry, DptScreen};
 pub use hash::HashDc;
 pub use logdc::LogDc;
-pub use recovery::{replay_smo_screened, smo_redo, SmoBarrierOutcome};
+pub use recovery::smo_redo;
+pub use redo::{Family, Prefetch, RedoPlan};
 pub use remote::{remote_loopback, LoopbackTransport, RemoteDc, Transport};
 pub use server::DcServer;
 pub use tcp::{tcp_deploy, TcpDcServer, TcpTransport};

@@ -53,11 +53,12 @@ use crate::catalog::{Catalog, META_PAGE};
 use crate::dc::{DcConfig, DcCounters, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
+use crate::redo::{RedoBackend, RedoPlan};
 use crate::trackers::TrackerPair;
 use lr_btree::node::{leaf_record, parse_leaf_record};
 use lr_buffer::BufferPool;
 use lr_common::latch::Latch;
-use lr_common::{shard_index, Error, Key, Lsn, PageId, Result, TableId, Value};
+use lr_common::{shard_index, Error, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId, Value};
 use lr_storage::{Disk, Page, PageType, PAGE_HEADER_SIZE, SLOT_SIZE};
 use lr_wal::{ClrAction, LogPayload, LogRecord, SharedWal, SmoRecord};
 use parking_lot::{Mutex, RwLock};
@@ -1091,40 +1092,12 @@ impl DcApi for LogDc {
         Ok((applied, skipped))
     }
 
-    fn replay_smo_screened(
-        &self,
-        lsn: Lsn,
-        smo: &SmoRecord,
-        dpt: &Dpt,
-        out: &mut SmoBarrierOutcome,
-    ) -> Result<Option<Lsn>> {
-        let installed =
-            crate::recovery::screened_smo_install(&self.pool, lsn, &smo.pages, dpt, out)?;
-        // A compaction SMO rewrites a table's manifest in place: if one
-        // was installed, refresh that table's skeleton (horizon, sealed
-        // head) so the post-redo rebuild reads current placement.
-        if !installed.is_empty() {
-            let roots: Vec<(TableId, PageId)> = self.catalog.lock().tables().collect();
-            for (table, anchor) in roots {
-                if installed.contains(&anchor) {
-                    let ts = self.load_table_skeleton(table, anchor)?;
-                    self.tables.write().insert(table, ts);
-                }
-            }
-        }
-        // Compaction never moves a catalog anchor.
-        debug_assert!(smo.new_root.is_none());
-        Ok(None)
+    fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
+        crate::redo::run(self, window, plan)
     }
 
     fn finish_redo(&self) -> Result<()> {
         self.rebuild_all_maps()
-    }
-
-    fn resolve_redo_pid(&self, _table: TableId, _key: Key, logged_pid: PageId) -> Result<Located> {
-        // Routing-logical redo: the logged PID is the key's stub, so
-        // replaying "there" partitions by key shard with no traversal.
-        Ok(Located { pid: logged_pid, levels: 0, stall_us: 0 })
     }
 
     fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
@@ -1154,6 +1127,40 @@ impl DcApi for LogDc {
 
     fn reopen(&self, disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
         Ok(Arc::new(LogDc::open(disk, wal, cfg)?))
+    }
+}
+
+impl RedoBackend for LogDc {
+    fn resolve_redo_pid(&self, _table: TableId, _key: Key, logged_pid: PageId) -> Result<Located> {
+        // Routing-logical redo: the logged PID is the key's stub, so
+        // replaying "there" partitions by key shard with no traversal.
+        Ok(Located { pid: logged_pid, levels: 0, stall_us: 0 })
+    }
+
+    fn replay_smo_screened(
+        &self,
+        lsn: Lsn,
+        smo: &SmoRecord,
+        dpt: &Dpt,
+        out: &mut SmoBarrierOutcome,
+    ) -> Result<Option<Lsn>> {
+        let installed =
+            crate::recovery::screened_smo_install(&self.pool, lsn, &smo.pages, dpt, out)?;
+        // A compaction SMO rewrites a table's manifest in place: if one
+        // was installed, refresh that table's skeleton (horizon, sealed
+        // head) so the post-redo rebuild reads current placement.
+        if !installed.is_empty() {
+            let roots: Vec<(TableId, PageId)> = self.catalog.lock().tables().collect();
+            for (table, anchor) in roots {
+                if installed.contains(&anchor) {
+                    let ts = self.load_table_skeleton(table, anchor)?;
+                    self.tables.write().insert(table, ts);
+                }
+            }
+        }
+        // Compaction never moves a catalog anchor.
+        debug_assert!(smo.new_root.is_none());
+        Ok(None)
     }
 }
 

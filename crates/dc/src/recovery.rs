@@ -48,10 +48,10 @@ pub fn plsn_smo_install(
 
 /// Install SMO page images under the full physiological redo screen
 /// (DPT + rLSN + pLSN). The one screened kernel every backend's
-/// [`crate::DcApi::replay_smo_screened`] delegates to, so a screen fix
-/// can never apply to one backend and miss another. Returns the PIDs
+/// `RedoBackend::replay_smo_screened` delegates to, so a screen fix can
+/// never apply to one backend and miss another. Returns the PIDs
 /// actually installed (backends with volatile indexes refresh those).
-pub fn screened_smo_install(
+pub(crate) fn screened_smo_install(
     pool: &lr_buffer::BufferPool,
     lsn: Lsn,
     pages: &[(PageId, Vec<u8>)],
@@ -125,7 +125,7 @@ pub fn smo_redo(dc: &DataComponent, window: &[LogRecord]) -> Result<(u64, u64)> 
 /// Work counters of screened SMO replay (physiological redo). Field names
 /// mirror the `RecoveryBreakdown` counters the caller folds them into.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SmoBarrierOutcome {
+pub(crate) struct SmoBarrierOutcome {
     pub pages_applied: u64,
     pub skipped_no_dpt_entry: u64,
     pub skipped_rlsn: u64,
@@ -138,9 +138,8 @@ pub struct SmoBarrierOutcome {
 /// in-memory catalog. Returns the record's LSN when it moved a root —
 /// callers persist the catalog once, after the last root move.
 ///
-/// The B-tree backend's implementation of
-/// [`crate::DcApi::replay_smo_screened`].
-pub fn replay_smo_screened(
+/// The B-tree backend's `RedoBackend::replay_smo_screened`.
+pub(crate) fn replay_smo_screened(
     dc: &DataComponent,
     lsn: Lsn,
     smo: &lr_wal::SmoRecord,

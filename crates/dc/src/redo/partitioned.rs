@@ -8,10 +8,18 @@
 //! equals log order. The tree shape is frozen across data redo (SMO replay
 //! is a completed barrier phase), so a logical record's resolved PID
 //! cannot drift between dispatch and apply.
+//!
+//! Workers cannot share the one SimClock — it would serialize them by
+//! construction — so each keeps a private busy total: its CPU charges
+//! plus the stall of every device read it performed. `redo_us` is the
+//! busiest worker (wall-clock), `worker_busy_total_us` the sum (the
+//! device-charge view), `partition_us` the dispatcher's own scan and
+//! `merge_us` the shard merge. Queue backpressure is reported apart
+//! (`queue_stall_us`, real µs): waiting on a bounded queue is harness
+//! scheduling, not simulated device time.
 
-use crate::methods::{apply_one, Meter, RedoSink, Screen};
+use super::{apply_one, trace_of, Meter, RedoBackend, RedoSink, Screen};
 use lr_common::{Error, PageId, RecoveryBreakdown, Result};
-use lr_dc::DcApi;
 use lr_obs::{EventKind, RecoveryPhase, TraceSink};
 use lr_wal::LogRecord;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
@@ -63,21 +71,20 @@ impl RedoSink for Router {
     }
 }
 
-/// Run partitioned redo over `window` with `workers` threads (callers
-/// route `workers <= 1` to the inline sink instead). On success the
-/// breakdown carries the merged per-worker shards: `redo_us` is the
-/// busiest worker (wall-clock), `worker_busy_total_us` the sum, and
+/// Run partitioned redo over `window` with `workers` threads. On success
+/// `bk` carries the merged per-worker shards: `redo_us` is the busiest
+/// worker (wall-clock), `worker_busy_total_us` the sum, and
 /// `partition_us` the dispatcher's own scan.
-pub(crate) fn parallel_redo(
-    dc: &dyn DcApi,
+pub(super) fn run(
+    dc: &dyn RedoBackend,
     window: &[LogRecord],
     screen: Screen<'_>,
     workers: usize,
-    trace: &TraceSink,
     bk: &mut RecoveryBreakdown,
 ) -> Result<()> {
     debug_assert!(workers >= 2, "the inline sink handles workers <= 1");
-    let cpu_apply_us = dc.pool().disk().io_model().cpu_apply_us;
+    let model = dc.pool().disk().io_model();
+    let trace = trace_of(dc.pool());
     let (txs, rxs): (Vec<_>, Vec<_>) =
         (0..workers).map(|_| std::sync::mpsc::sync_channel(QUEUE_CAP)).unzip();
 
@@ -87,6 +94,7 @@ pub(crate) fn parallel_redo(
             .into_iter()
             .enumerate()
             .map(|(w, rx)| {
+                let (trace, cpu_apply_us) = (&trace, model.cpu_apply_us);
                 s.spawn(move || worker_loop(dc, window, rx, cpu_apply_us, trace, w as u64))
             })
             .collect();
@@ -116,7 +124,7 @@ pub(crate) fn parallel_redo(
     // per-shard CPU charge keeps total_us deterministic (real elapsed time
     // here would make the otherwise bit-identical totals jitter with host
     // load — real-time effects are reported via queue_stall_us only).
-    bk.merge_us += dc.pool().disk().io_model().cpu_log_record_us * workers as u64;
+    bk.merge_us += model.cpu_log_record_us * workers as u64;
     Ok(())
 }
 
@@ -126,7 +134,7 @@ pub(crate) fn parallel_redo(
 /// device stalls and apply CPU) as `worker_busy_max_us`, so the report can
 /// take the max across workers as the parallel redo wall-clock.
 fn worker_loop(
-    dc: &dyn DcApi,
+    dc: &dyn RedoBackend,
     window: &[LogRecord],
     rx: Receiver<RedoItem>,
     cpu_apply_us: u64,

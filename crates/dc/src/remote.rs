@@ -33,17 +33,16 @@ use crate::api::{
     DcApi, DcIntrospect, Located, OpGuard, PreloadStats, PreparedOp, TableGuard, TableSummary,
 };
 use crate::dc::{DcConfig, DcStats, PrepareInfo, WriteIntent};
-use crate::dpt::Dpt;
-use crate::recovery::SmoBarrierOutcome;
+use crate::redo::RedoPlan;
 use crate::server::{envelope, open_envelope, wire_error, DcServer};
 use crate::telemetry::{WireTelemetry, WireTelemetrySnapshot};
-use crate::wire::{encode_apply, encode_apply_at, DcReply, DcRequest, WireDpt};
+use crate::wire::{encode_apply, encode_apply_at, encode_redo, DcReply, DcRequest};
 use lr_buffer::BufferPool;
 use lr_common::codec::{frame, unframe};
-use lr_common::{Error, Key, Lsn, PageId, Result, TableId, Value};
+use lr_common::{Error, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId, Value};
 use lr_obs::{EventKind, TraceSink};
 use lr_storage::Disk;
-use lr_wal::{LogPayload, LogRecord, SharedWal, SmoRecord};
+use lr_wal::{LogPayload, LogRecord, SharedWal};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -546,30 +545,12 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn replay_smo_screened(
-        &self,
-        lsn: Lsn,
-        smo: &SmoRecord,
-        dpt: &Dpt,
-        out: &mut SmoBarrierOutcome,
-    ) -> Result<Option<Lsn>> {
-        let req = DcRequest::ReplaySmoScreened { lsn, smo: smo.clone(), dpt: WireDpt::from(dpt) };
-        match self.call(req)? {
-            DcReply::SmoReplayed { moved_root, outcome } => {
-                out.pages_applied += outcome.pages_applied;
-                out.skipped_no_dpt_entry += outcome.skipped_no_dpt_entry;
-                out.skipped_rlsn += outcome.skipped_rlsn;
-                out.skipped_plsn += outcome.skipped_plsn;
-                Ok(moved_root)
-            }
-            other => Err(Self::protocol("replay_smo_screened", other)),
-        }
-    }
-
-    fn resolve_redo_pid(&self, table: TableId, key: Key, logged_pid: PageId) -> Result<Located> {
-        match self.call(DcRequest::ResolveRedoPid { table, key, logged_pid })? {
-            DcReply::LocatedAt { pid, levels, stall_us } => Ok(Located { pid, levels, stall_us }),
-            other => Err(Self::protocol("resolve_redo_pid", other)),
+    fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
+        // The whole pass runs server-side, next to the pages: one frame
+        // carries the window and the plan, one reply the redo shard.
+        match self.client.call_encoded(&encode_redo(window, plan))? {
+            DcReply::Redone(shard) => Ok(*shard),
+            other => Err(Self::protocol("redo", other)),
         }
     }
 

@@ -25,7 +25,6 @@
 //! connection teardown).
 
 use crate::api::{DcApi, PreparedOp, TableGuard};
-use crate::recovery::SmoBarrierOutcome;
 use crate::telemetry::{WireTelemetry, WireTelemetrySnapshot};
 use crate::wire::{DcReply, DcRequest, WireError};
 use lr_common::codec::{frame, unframe};
@@ -346,15 +345,7 @@ impl DcServer {
                 let (applied, skipped) = dc.smo_redo(&window)?;
                 DcReply::Pair(applied, skipped)
             }
-            DcRequest::ReplaySmoScreened { lsn, smo, dpt } => {
-                let dpt = (&dpt).into();
-                let mut outcome = SmoBarrierOutcome::default();
-                let moved_root = dc.replay_smo_screened(lsn, &smo, &dpt, &mut outcome)?;
-                DcReply::SmoReplayed { moved_root, outcome }
-            }
-            DcRequest::ResolveRedoPid { table, key, logged_pid } => {
-                DcReply::located(dc.resolve_redo_pid(table, key, logged_pid)?)
-            }
+            DcRequest::Redo { window, plan } => DcReply::Redone(Box::new(dc.redo(&window, &plan)?)),
             DcRequest::LocateKey { table, key } => DcReply::located(dc.locate_key(table, key)?),
             DcRequest::PreloadIndex => DcReply::preload(dc.preload_index()?),
             DcRequest::FinishRedo => {

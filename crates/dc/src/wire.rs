@@ -30,11 +30,11 @@
 use crate::api::{Located, PreloadStats, TableSummary};
 use crate::dc::{DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
-use crate::recovery::SmoBarrierOutcome;
+use crate::redo::{Family, Prefetch, RedoPlan};
 use crate::telemetry::WireTelemetrySnapshot;
 use lr_common::codec::{CodecError, Decoder, Encoder};
-use lr_common::{Error, Histogram, Key, Lsn, PageId, TableId, Value};
-use lr_wal::{LogPayload, LogRecord, SmoRecord};
+use lr_common::{Error, Histogram, Key, Lsn, PageId, RecoveryBreakdown, TableId, Value};
+use lr_wal::{LogPayload, LogRecord};
 
 // ----------------------------------------------------------------------
 // requests
@@ -131,15 +131,10 @@ pub enum DcRequest {
     SmoRedo {
         window: Vec<LogRecord>,
     },
-    ReplaySmoScreened {
-        lsn: Lsn,
-        smo: SmoRecord,
-        dpt: WireDpt,
-    },
-    ResolveRedoPid {
-        table: TableId,
-        key: Key,
-        logged_pid: PageId,
+    /// The whole redo pass: the scan window and the analysis's plan.
+    Redo {
+        window: Vec<LogRecord>,
+        plan: RedoPlan,
     },
     LocateKey {
         table: TableId,
@@ -186,29 +181,6 @@ impl From<WireIntent> for WriteIntent {
     }
 }
 
-/// A [`Dpt`] flattened for transit: `(pid, rLSN, lastLSN)` triples in PID
-/// order. Reconstruction exploits [`Dpt::add`]'s sticky-rLSN rule — the
-/// first add pins rLSN, the second only advances lastLSN.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireDpt(pub Vec<(PageId, Lsn, Lsn)>);
-
-impl From<&Dpt> for WireDpt {
-    fn from(dpt: &Dpt) -> WireDpt {
-        WireDpt(dpt.sorted_entries().iter().map(|(p, e)| (*p, e.rlsn, e.last_lsn)).collect())
-    }
-}
-
-impl From<&WireDpt> for Dpt {
-    fn from(w: &WireDpt) -> Dpt {
-        let mut dpt = Dpt::new();
-        for (pid, rlsn, last_lsn) in &w.0 {
-            dpt.add(*pid, *rlsn);
-            dpt.add(*pid, *last_lsn);
-        }
-        dpt
-    }
-}
-
 // ----------------------------------------------------------------------
 // replies
 // ----------------------------------------------------------------------
@@ -245,10 +217,8 @@ pub enum DcReply {
     },
     Summary(TableSummary),
     Pair(u64, u64),
-    SmoReplayed {
-        moved_root: Option<Lsn>,
-        outcome: SmoBarrierOutcome,
-    },
+    /// The redo shard of one [`DcRequest::Redo`] (boxed like `Stats`).
+    Redone(Box<RecoveryBreakdown>),
     LocatedAt {
         pid: PageId,
         levels: u32,
@@ -399,24 +369,6 @@ fn get_opt_value(d: &mut Decoder<'_>) -> Result<Option<Value>, CodecError> {
     }
 }
 
-fn put_opt_lsn(e: &mut Encoder, v: &Option<Lsn>) {
-    match v {
-        Some(l) => {
-            e.put_u8(1);
-            e.put_lsn(*l);
-        }
-        None => e.put_u8(0),
-    }
-}
-
-fn get_opt_lsn(d: &mut Decoder<'_>) -> Result<Option<Lsn>, CodecError> {
-    match d.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(d.get_lsn()?)),
-        t => Err(CodecError::BadTag { context: "optional lsn", tag: t }),
-    }
-}
-
 fn put_string(e: &mut Encoder, s: &str) {
     e.put_bytes(s.as_bytes());
 }
@@ -473,36 +425,99 @@ fn get_records(d: &mut Decoder<'_>) -> Result<Vec<LogRecord>, CodecError> {
     (0..n).map(|_| get_record(d)).collect()
 }
 
-/// An [`SmoRecord`] reuses the WAL body encoding by wrapping itself as
-/// [`LogPayload::Smo`].
-fn put_smo(e: &mut Encoder, smo: &SmoRecord) {
-    e.put_bytes(&LogPayload::Smo(smo.clone()).encode());
-}
-
-fn get_smo(d: &mut Decoder<'_>) -> Result<SmoRecord, CodecError> {
-    let body = d.get_bytes()?;
-    match LogPayload::decode(&body)? {
-        LogPayload::Smo(smo) => Ok(smo),
-        _ => Err(CodecError::BadTag { context: "smo record", tag: 0 }),
+/// A [`Dpt`] rides as `(pid, rLSN, lastLSN)` triples in PID order.
+/// Rebuilding exploits [`Dpt::add`]'s sticky-rLSN rule — the first add
+/// pins rLSN, the second only advances lastLSN.
+fn put_dpt(e: &mut Encoder, dpt: &Dpt) {
+    let entries = dpt.sorted_entries();
+    e.put_u32(entries.len() as u32);
+    for (pid, entry) in entries {
+        e.put_pid(pid);
+        e.put_lsn(entry.rlsn);
+        e.put_lsn(entry.last_lsn);
     }
 }
 
-fn put_dpt(e: &mut Encoder, dpt: &WireDpt) {
-    e.put_u32(dpt.0.len() as u32);
-    for (pid, rlsn, last_lsn) in &dpt.0 {
+fn get_dpt(d: &mut Decoder<'_>) -> Result<Dpt, CodecError> {
+    let mut dpt = Dpt::new();
+    for _ in 0..d.get_u32()? {
+        let (pid, rlsn, last_lsn) = (d.get_pid()?, d.get_lsn()?, d.get_lsn()?);
+        dpt.add(pid, rlsn);
+        dpt.add(pid, last_lsn);
+    }
+    Ok(dpt)
+}
+
+/// A [`RedoPlan`]: family and prefetch tags, the optional DPT, the tail
+/// boundary, the PF-list and the worker count.
+fn put_plan(e: &mut Encoder, plan: &RedoPlan) {
+    e.put_u8(match plan.family {
+        Family::Logical => 0,
+        Family::Physiological => 1,
+    });
+    e.put_u8(match plan.prefetch {
+        Prefetch::None => 0,
+        Prefetch::PfList => 1,
+        Prefetch::DptOrder => 2,
+        Prefetch::LogDriven => 3,
+    });
+    match &plan.dpt {
+        Some(dpt) => {
+            e.put_u8(1);
+            put_dpt(e, dpt);
+        }
+        None => e.put_u8(0),
+    }
+    e.put_lsn(plan.tail_from);
+    e.put_u32(plan.pf_list.len() as u32);
+    for pid in &plan.pf_list {
         e.put_pid(*pid);
-        e.put_lsn(*rlsn);
-        e.put_lsn(*last_lsn);
+    }
+    e.put_u64(plan.workers as u64);
+}
+
+fn get_plan(d: &mut Decoder<'_>) -> Result<RedoPlan, CodecError> {
+    let family = match d.get_u8()? {
+        0 => Family::Logical,
+        1 => Family::Physiological,
+        t => return Err(CodecError::BadTag { context: "redo family", tag: t }),
+    };
+    let prefetch = match d.get_u8()? {
+        0 => Prefetch::None,
+        1 => Prefetch::PfList,
+        2 => Prefetch::DptOrder,
+        3 => Prefetch::LogDriven,
+        t => return Err(CodecError::BadTag { context: "redo prefetch", tag: t }),
+    };
+    let dpt = match d.get_u8()? {
+        0 => None,
+        1 => Some(get_dpt(d)?),
+        t => return Err(CodecError::BadTag { context: "optional dpt", tag: t }),
+    };
+    let tail_from = d.get_lsn()?;
+    let n = d.get_u32()? as usize;
+    let mut pf_list = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        pf_list.push(d.get_pid()?);
+    }
+    let workers = d.get_u64()? as usize;
+    Ok(RedoPlan { family, prefetch, dpt, tail_from, pf_list, workers })
+}
+
+/// The redo shard rides as its [`RecoveryBreakdown::redo_shard_mut`]
+/// fields, in that order.
+fn put_shard(e: &mut Encoder, shard: &RecoveryBreakdown) {
+    for field in shard.clone().redo_shard_mut() {
+        e.put_u64(*field);
     }
 }
 
-fn get_dpt(d: &mut Decoder<'_>) -> Result<WireDpt, CodecError> {
-    let n = d.get_u32()? as usize;
-    let mut v = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        v.push((d.get_pid()?, d.get_lsn()?, d.get_lsn()?));
+fn get_shard(d: &mut Decoder<'_>) -> Result<RecoveryBreakdown, CodecError> {
+    let mut shard = RecoveryBreakdown::default();
+    for field in shard.redo_shard_mut() {
+        *field = d.get_u64()?;
     }
-    Ok(WireDpt(v))
+    Ok(shard)
 }
 
 fn put_rows(e: &mut Encoder, rows: &[(Key, Value)]) {
@@ -520,22 +535,6 @@ fn get_rows(d: &mut Decoder<'_>) -> Result<Vec<(Key, Value)>, CodecError> {
         rows.push((d.get_key()?, d.get_bytes()?));
     }
     Ok(rows)
-}
-
-fn put_outcome(e: &mut Encoder, o: &SmoBarrierOutcome) {
-    e.put_u64(o.pages_applied);
-    e.put_u64(o.skipped_no_dpt_entry);
-    e.put_u64(o.skipped_rlsn);
-    e.put_u64(o.skipped_plsn);
-}
-
-fn get_outcome(d: &mut Decoder<'_>) -> Result<SmoBarrierOutcome, CodecError> {
-    Ok(SmoBarrierOutcome {
-        pages_applied: d.get_u64()?,
-        skipped_no_dpt_entry: d.get_u64()?,
-        skipped_rlsn: d.get_u64()?,
-        skipped_plsn: d.get_u64()?,
-    })
 }
 
 fn put_stats(e: &mut Encoder, s: &DcStats) {
@@ -716,15 +715,14 @@ const REQ_LOCK_TABLE: u8 = 25;
 const REQ_RELEASE_TABLE: u8 = 26;
 const REQ_VERIFY_TABLE: u8 = 27;
 const REQ_SMO_REDO: u8 = 28;
-const REQ_REPLAY_SMO: u8 = 29;
-const REQ_RESOLVE_REDO_PID: u8 = 30;
-const REQ_LOCATE_KEY: u8 = 31;
-const REQ_PRELOAD_INDEX: u8 = 32;
-const REQ_FINISH_REDO: u8 = 33;
-const REQ_STATS: u8 = 34;
-const REQ_INTROSPECT: u8 = 35;
-const REQ_COMPACT_PASS: u8 = 36;
-const REQ_OVER_GARBAGE: u8 = 37;
+const REQ_REDO: u8 = 29;
+const REQ_LOCATE_KEY: u8 = 30;
+const REQ_PRELOAD_INDEX: u8 = 31;
+const REQ_FINISH_REDO: u8 = 32;
+const REQ_STATS: u8 = 33;
+const REQ_INTROSPECT: u8 = 34;
+const REQ_COMPACT_PASS: u8 = 35;
+const REQ_OVER_GARBAGE: u8 = 36;
 
 /// The highest assigned request tag — sizes per-op telemetry tables.
 pub const MAX_REQ_TAG: u8 = REQ_OVER_GARBAGE;
@@ -761,8 +759,7 @@ pub fn op_name(tag: u8) -> &'static str {
         REQ_RELEASE_TABLE => "release_table",
         REQ_VERIFY_TABLE => "verify_table",
         REQ_SMO_REDO => "smo_redo",
-        REQ_REPLAY_SMO => "replay_smo_screened",
-        REQ_RESOLVE_REDO_PID => "resolve_redo_pid",
+        REQ_REDO => "redo",
         REQ_LOCATE_KEY => "locate_key",
         REQ_PRELOAD_INDEX => "preload_index",
         REQ_FINISH_REDO => "finish_redo",
@@ -790,6 +787,16 @@ pub fn encode_apply_at(pid: PageId, rec: &LogRecord) -> Vec<u8> {
     e.put_u8(REQ_APPLY_AT);
     e.put_pid(pid);
     put_record(&mut e, rec);
+    e.finish()
+}
+
+/// The body of [`DcRequest::Redo`], encoded from the borrowed window (a
+/// recovery's largest message: no owned copy of it is made).
+pub fn encode_redo(window: &[LogRecord], plan: &RedoPlan) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(64 * window.len() + 64);
+    e.put_u8(REQ_REDO);
+    put_records(&mut e, window);
+    put_plan(&mut e, plan);
     e.finish()
 }
 
@@ -889,18 +896,7 @@ impl DcRequest {
                 e.put_u8(REQ_SMO_REDO);
                 put_records(&mut e, window);
             }
-            DcRequest::ReplaySmoScreened { lsn, smo, dpt } => {
-                e.put_u8(REQ_REPLAY_SMO);
-                e.put_lsn(*lsn);
-                put_smo(&mut e, smo);
-                put_dpt(&mut e, dpt);
-            }
-            DcRequest::ResolveRedoPid { table, key, logged_pid } => {
-                e.put_u8(REQ_RESOLVE_REDO_PID);
-                e.put_table(*table);
-                e.put_key(*key);
-                e.put_pid(*logged_pid);
-            }
+            DcRequest::Redo { window, plan } => return encode_redo(window, plan),
             DcRequest::LocateKey { table, key } => {
                 e.put_u8(REQ_LOCATE_KEY);
                 e.put_table(*table);
@@ -947,8 +943,7 @@ impl DcRequest {
             DcRequest::ReleaseTable { .. } => REQ_RELEASE_TABLE,
             DcRequest::VerifyTable { .. } => REQ_VERIFY_TABLE,
             DcRequest::SmoRedo { .. } => REQ_SMO_REDO,
-            DcRequest::ReplaySmoScreened { .. } => REQ_REPLAY_SMO,
-            DcRequest::ResolveRedoPid { .. } => REQ_RESOLVE_REDO_PID,
+            DcRequest::Redo { .. } => REQ_REDO,
             DcRequest::LocateKey { .. } => REQ_LOCATE_KEY,
             DcRequest::PreloadIndex => REQ_PRELOAD_INDEX,
             DcRequest::FinishRedo => REQ_FINISH_REDO,
@@ -1002,16 +997,7 @@ impl DcRequest {
             REQ_RELEASE_TABLE => DcRequest::ReleaseTable { token: d.get_u64()? },
             REQ_VERIFY_TABLE => DcRequest::VerifyTable { table: d.get_table()? },
             REQ_SMO_REDO => DcRequest::SmoRedo { window: get_records(&mut d)? },
-            REQ_REPLAY_SMO => DcRequest::ReplaySmoScreened {
-                lsn: d.get_lsn()?,
-                smo: get_smo(&mut d)?,
-                dpt: get_dpt(&mut d)?,
-            },
-            REQ_RESOLVE_REDO_PID => DcRequest::ResolveRedoPid {
-                table: d.get_table()?,
-                key: d.get_key()?,
-                logged_pid: d.get_pid()?,
-            },
+            REQ_REDO => DcRequest::Redo { window: get_records(&mut d)?, plan: get_plan(&mut d)? },
             REQ_LOCATE_KEY => DcRequest::LocateKey { table: d.get_table()?, key: d.get_key()? },
             REQ_PRELOAD_INDEX => DcRequest::PreloadIndex,
             REQ_FINISH_REDO => DcRequest::FinishRedo,
@@ -1036,7 +1022,7 @@ const REP_TABLE_IDS: u8 = 9;
 const REP_TABLE_LOCKED: u8 = 10;
 const REP_SUMMARY: u8 = 11;
 const REP_PAIR: u8 = 12;
-const REP_SMO_REPLAYED: u8 = 13;
+const REP_REDONE: u8 = 13;
 const REP_LOCATED: u8 = 14;
 const REP_PRELOAD: u8 = 15;
 const REP_STATS: u8 = 16;
@@ -1102,10 +1088,9 @@ impl DcReply {
                 e.put_u64(*a);
                 e.put_u64(*b);
             }
-            DcReply::SmoReplayed { moved_root, outcome } => {
-                e.put_u8(REP_SMO_REPLAYED);
-                put_opt_lsn(&mut e, moved_root);
-                put_outcome(&mut e, outcome);
+            DcReply::Redone(shard) => {
+                e.put_u8(REP_REDONE);
+                put_shard(&mut e, shard);
             }
             DcReply::LocatedAt { pid, levels, stall_us } => {
                 e.put_u8(REP_LOCATED);
@@ -1170,10 +1155,7 @@ impl DcReply {
                 height: d.get_u32()?,
             }),
             REP_PAIR => DcReply::Pair(d.get_u64()?, d.get_u64()?),
-            REP_SMO_REPLAYED => DcReply::SmoReplayed {
-                moved_root: get_opt_lsn(&mut d)?,
-                outcome: get_outcome(&mut d)?,
-            },
+            REP_REDONE => DcReply::Redone(Box::new(get_shard(&mut d)?)),
             REP_LOCATED => DcReply::LocatedAt {
                 pid: d.get_pid()?,
                 levels: d.get_u32()?,
@@ -1224,9 +1206,16 @@ mod tests {
                 value: vec![1, 2, 3],
             },
         };
-        let smo = SmoRecord {
-            pages: vec![(PageId(9), vec![0xAB; 32])],
-            new_root: Some((TableId(1), PageId(9))),
+        let mut dpt = Dpt::new();
+        dpt.add(PageId(9), Lsn(100));
+        dpt.add(PageId(9), Lsn(200));
+        let plan = RedoPlan {
+            family: Family::Physiological,
+            prefetch: Prefetch::LogDriven,
+            dpt: Some(dpt),
+            tail_from: Lsn::MAX,
+            pf_list: vec![PageId(9), PageId(4)],
+            workers: 2,
         };
         for req in [
             DcRequest::Read { table: TableId(1), key: 5 },
@@ -1267,12 +1256,16 @@ mod tests {
             DcRequest::ReleaseTable { token: 88 },
             DcRequest::VerifyTable { table: TableId(1) },
             DcRequest::SmoRedo { window: vec![rec.clone()] },
-            DcRequest::ReplaySmoScreened {
-                lsn: Lsn(700),
-                smo: smo.clone(),
-                dpt: WireDpt(vec![(PageId(9), Lsn(100), Lsn(200))]),
+            DcRequest::Redo { window: vec![rec.clone(), rec.clone()], plan: plan.clone() },
+            DcRequest::Redo {
+                window: Vec::new(),
+                plan: RedoPlan {
+                    family: Family::Logical,
+                    prefetch: Prefetch::None,
+                    dpt: None,
+                    ..plan
+                },
             },
-            DcRequest::ResolveRedoPid { table: TableId(1), key: 5, logged_pid: PageId(7) },
             DcRequest::LocateKey { table: TableId(1), key: 5 },
             DcRequest::PreloadIndex,
             DcRequest::FinishRedo,
@@ -1349,15 +1342,13 @@ mod tests {
                 height: 3,
             }),
             DcReply::Pair(3, 4),
-            DcReply::SmoReplayed {
-                moved_root: Some(Lsn(42)),
-                outcome: SmoBarrierOutcome {
-                    pages_applied: 2,
-                    skipped_no_dpt_entry: 1,
-                    skipped_rlsn: 0,
-                    skipped_plsn: 3,
-                },
-            },
+            DcReply::Redone(Box::new({
+                let mut shard = RecoveryBreakdown::default();
+                for (i, field) in shard.redo_shard_mut().into_iter().enumerate() {
+                    *field = 1_000 + i as u64;
+                }
+                shard
+            })),
             DcReply::LocatedAt { pid: PageId(3), levels: 2, stall_us: 120 },
             DcReply::Preload { pages_loaded: 5, prefetch_ios: 1, prefetch_pages: 4 },
             DcReply::Stats(Box::new(stats)),
@@ -1417,8 +1408,10 @@ mod tests {
         dpt.add(PageId(1), Lsn(100));
         dpt.add(PageId(1), Lsn(300)); // lastLSN advances, rLSN sticky
         dpt.add(PageId(2), Lsn(150));
-        let wire = WireDpt::from(&dpt);
-        let back: Dpt = (&wire).into();
+        let mut e = Encoder::with_capacity(64);
+        put_dpt(&mut e, &dpt);
+        let bytes = e.finish();
+        let back = get_dpt(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(back.sorted_entries(), dpt.sorted_entries());
     }
 
