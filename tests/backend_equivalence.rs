@@ -23,7 +23,8 @@
 //! * the crossing counts — a committed 10-update transaction through a
 //!   proxy is exactly 10 `PrepareOp` + 10 `Apply` + 1 `Eosl` and no
 //!   `ReleaseOp`, recovery's `smo_redo` ships SMO records, not the redo
-//!   window, and a recovery's crossings per op are pinned per method;
+//!   window, and a recovery's crossings per op are pinned per method
+//!   (redo is one `redo` call, run server-side);
 //! * the transport-drop probe — a prepare parked server-side when the
 //!   connection dies must surface a clean error (from the apply that
 //!   consumes it, too) and release its token, never a wedged latch.
@@ -536,10 +537,10 @@ fn tcp_committed_transaction_is_two_crossings_per_write_plus_the_eosl() {
 
 #[test]
 fn remote_recovery_ships_smo_records_not_the_redo_window() {
-    // `smo_redo` reads SMO records only, so only they may cross: shipped
-    // whole, a long redo window outgrows the wire's frame cap and a
-    // proxied engine could never recover. An update-only window (no
-    // structure modification since the checkpoint) must send none.
+    // `smo_redo` reads SMO records only, so only they may cross it: the
+    // window itself crosses once per recovery, in the `redo` call. An
+    // update-only window (no structure modification since the
+    // checkpoint) must send none.
     let engine = Engine::build(config_for("remote:btree")).unwrap();
     engine.checkpoint().unwrap();
     let vsize = engine.config().row_value_size;
@@ -594,8 +595,7 @@ const REMOTE_MODELED: [(&str, [u64; 13]); 5] = [
 /// The crossings one recovery makes, per op, for a fixed `remote:btree`
 /// crash: each of the paper's five methods serially, and Log1 on two redo
 /// workers — and, under the default (costed) I/O model, each serial
-/// method's modeled breakdown. Moving redo behind the DC boundary is
-/// judged against these.
+/// method's modeled breakdown, which redo running DC-side left unchanged.
 #[test]
 fn remote_recovery_crossings_are_pinned_per_method() {
     let cfg = EngineConfig { io_model: IoModel::default(), ..config_for("remote:btree") };
@@ -630,6 +630,8 @@ fn remote_recovery_crossings_are_pinned_per_method() {
             .map(|(op, n)| (*op, n - before.get(op).copied().unwrap_or(0)))
             .filter(|(_, n)| *n > 0)
             .collect();
+        // The engine's metrics export names the new op too.
+        assert_eq!(fork.metrics().counter("dc_wire_requests_redo"), Some(1), "{method}");
         (delta, report.breakdown)
     };
     let mut got = Vec::new();
@@ -642,17 +644,20 @@ fn remote_recovery_crossings_are_pinned_per_method() {
     got.push(("Log1", 2, recover(RecoveryMethod::Log1, 2).0));
     assert_eq!(modeled, REMOTE_MODELED, "one row per method, in paper order");
 
-    // Every method: redo and undo applies, the two compensations' locate /
-    // latch / pump, the post-redo rebuild hook, the closing checkpoint.
+    // Every method: one redo call — the whole pass, SMO replay and
+    // partitioned workers included, runs DC-side — then the two
+    // compensations' locate / latch / apply / pump, the post-redo rebuild
+    // hook, the closing checkpoint.
     let with = |extra: &[(&'static str, u64)]| {
         let mut ops = vec![
-            ("apply_at", 22),
+            ("apply_at", 2),
             ("drain_in_flight_ops", 1),
             ("eosl", 2),
             ("finish_redo", 1),
             ("locate_key", 2),
             ("lock_table_exclusive", 2),
             ("pump_events", 2),
+            ("redo", 1),
             ("release_table", 2),
             ("rssp", 1),
         ];
@@ -660,15 +665,15 @@ fn remote_recovery_crossings_are_pinned_per_method() {
         ops.sort_unstable();
         ops
     };
-    // Logical redo resolves each of the window's 122 data records by key;
-    // physiological redo replays the window's two SMOs screened instead.
-    let logical = [("resolve_redo_pid", 122), ("smo_redo", 1)];
-    let physiological = [("reload_catalog", 1), ("replay_smo_screened", 2)];
+    // Logical methods run DC recovery's SMO redo first; physiological ones
+    // reload the catalog and replay SMOs inside the redo call.
+    let logical = [("smo_redo", 1)];
+    let physiological = [("reload_catalog", 1)];
     let want = vec![
         ("Log0", 1, with(&logical)),
         ("Log1", 1, with(&logical)),
         ("SQL1", 1, with(&physiological)),
-        ("Log2", 1, with(&[logical[0], logical[1], ("preload_index", 1)])),
+        ("Log2", 1, with(&[logical[0], ("preload_index", 1)])),
         ("SQL2", 1, with(&physiological)),
         ("Log1", 2, with(&logical)),
     ];
