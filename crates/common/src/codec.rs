@@ -18,6 +18,8 @@ pub enum CodecError {
     BadTag { context: &'static str, tag: u8 },
     /// A framed message's CRC did not match its body (see [`frame`]).
     Checksum { expected: u32, actual: u32 },
+    /// A decoded count exceeded the bound its message allows.
+    OutOfRange { context: &'static str, value: u64, max: u64 },
 }
 
 impl fmt::Display for CodecError {
@@ -29,6 +31,9 @@ impl fmt::Display for CodecError {
             CodecError::BadTag { context, tag } => write!(f, "bad tag {tag} for {context}"),
             CodecError::Checksum { expected, actual } => {
                 write!(f, "frame checksum mismatch: header says {expected:#010x}, body hashes to {actual:#010x}")
+            }
+            CodecError::OutOfRange { context, value, max } => {
+                write!(f, "{context} {value} out of range (max {max})")
             }
         }
     }

@@ -18,7 +18,11 @@
 //! | [`RecoveryMethod::Log2DptPrefetch`] | Δ-log records | logical + DPT | DPT in rLSN order (App. A.2) | yes |
 //!
 //! These four columns are all a method is: `RecoveryMethod`'s method table
-//! maps each name to them, and one pipeline runs every row.
+//! maps each name to them, and one pipeline runs every row. The engine
+//! owns restart, analysis and undo; the redo and prefetch columns run
+//! inside the data component ([`lr_dc::redo`]), which gets the window and
+//! an [`lr_dc::RedoPlan`] through one [`DcApi::redo`] call — in process,
+//! or as one message to a `remote:*` / `tcp:*` DC.
 //!
 //! ## Quickstart (single-threaded)
 //!

@@ -9,16 +9,16 @@
 //! one `Redo` crossing per recovery: [`crate::RemoteDc`] sends the frame,
 //! [`crate::DcServer`] runs this module next to the pages.
 //!
-//! [`Screen::run`] is the loop. Per record it charges the per-record CPU,
+//! `Screen::run` is the loop. Per record it charges the per-record CPU,
 //! pumps the method's read-ahead, resolves the record's page, runs the
 //! redo test short of the pLSN comparison ([`Dpt::screen`] or the
-//! tail-of-log rule) and hands survivors to a [`RedoSink`]. Without a DPT
+//! tail-of-log rule) and hands survivors to a `RedoSink`. Without a DPT
 //! that is Algorithm 2 (Log0), with a Δ-built one Algorithm 5 (Log1/Log2,
 //! the Appendix-D ablations), resolving by logged PID and replaying SMOs
 //! in LSN order Algorithm 1 (SQL1/SQL2/ARIES-ckpt). On one worker the sink
 //! is the inline one — the §5 measured path, one SimClock charged in
-//! program order — otherwise [`partitioned`]'s router; both end in
-//! [`apply_one`].
+//! program order — otherwise `partitioned`'s router; both end in
+//! `apply_one`.
 #![deny(clippy::too_many_lines)]
 
 mod partitioned;

@@ -448,6 +448,11 @@ fn get_dpt(d: &mut Decoder<'_>) -> Result<Dpt, CodecError> {
     Ok(dpt)
 }
 
+/// The most redo workers a `Redo` frame may ask for. The partitioned
+/// pipeline allocates a queue and a thread per worker before it reads a
+/// record, so a count off the wire is bounded before it is trusted.
+pub const MAX_WIRE_REDO_WORKERS: u64 = 1024;
+
 /// A [`RedoPlan`]: family and prefetch tags, the optional DPT, the tail
 /// boundary, the PF-list and the worker count.
 fn put_plan(e: &mut Encoder, plan: &RedoPlan) {
@@ -500,7 +505,13 @@ fn get_plan(d: &mut Decoder<'_>) -> Result<RedoPlan, CodecError> {
     for _ in 0..n {
         pf_list.push(d.get_pid()?);
     }
-    let workers = d.get_u64()? as usize;
+    let workers = match d.get_u64()? {
+        n if n <= MAX_WIRE_REDO_WORKERS => n as usize,
+        value => {
+            let max = MAX_WIRE_REDO_WORKERS;
+            return Err(CodecError::OutOfRange { context: "redo workers", value, max });
+        }
+    };
     Ok(RedoPlan { family, prefetch, dpt, tail_from, pf_list, workers })
 }
 
@@ -1413,6 +1424,24 @@ mod tests {
         let bytes = e.finish();
         let back = get_dpt(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(back.sorted_entries(), dpt.sorted_entries());
+    }
+
+    #[test]
+    fn a_redo_frame_asking_for_too_many_workers_is_refused() {
+        let plan = |workers| RedoPlan {
+            family: Family::Logical,
+            prefetch: Prefetch::None,
+            dpt: None,
+            tail_from: Lsn::MAX,
+            pf_list: Vec::new(),
+            workers,
+        };
+        let max = MAX_WIRE_REDO_WORKERS as usize;
+        assert!(DcRequest::decode(&encode_redo(&[], &plan(max))).is_ok());
+        assert!(matches!(
+            DcRequest::decode(&encode_redo(&[], &plan(max + 1))),
+            Err(CodecError::OutOfRange { context: "redo workers", .. })
+        ));
     }
 
     #[test]

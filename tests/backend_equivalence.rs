@@ -184,11 +184,14 @@ fn remote_backends_recover_every_method_at_every_worker_count() {
 fn tcp_backend_recovers_every_method_and_matches_in_process() {
     // The `tcp:*` backends run the same DcServer behind a real loopback
     // socket instead of the in-process loopback transport. The same
-    // workload, crash, and all nine recovery methods must land on the
-    // same committed state the in-process B-tree lands on — every
-    // recovery call crossing the kernel's TCP stack.
+    // workload, crash, and all nine recovery methods on one and two redo
+    // workers must land on the same committed state the in-process B-tree
+    // lands on — every recovery call crossing the kernel's TCP stack, and
+    // redo, inline or partitioned, running server-side for every inner
+    // backend.
+    let backends = ["btree", "tcp:btree", "tcp:hash", "tcp:log"];
     let mut states: Vec<Vec<(u64, Vec<u8>)>> = Vec::new();
-    for backend in ["btree", "tcp:btree"] {
+    for backend in backends {
         let cfg = config_for(backend);
         let mut shadow = ShadowDb::with_initial_rows(&cfg);
         let engine = Engine::build(cfg).unwrap();
@@ -198,22 +201,30 @@ fn tcp_backend_recovers_every_method_and_matches_in_process() {
 
         let mut reference: Option<Vec<(u64, Vec<u8>)>> = None;
         for method in RecoveryMethod::all() {
-            let fork = engine.fork_crashed().unwrap();
-            fork.recover(method).unwrap_or_else(|e| panic!("{backend}/{method}: {e}"));
-            shadow
-                .verify_against(&fork)
-                .unwrap_or_else(|e| panic!("{backend}/{method}: diverged from oracle: {e}"));
-            let state = fork.scan_table(DEFAULT_TABLE).unwrap();
-            match &reference {
-                None => reference = Some(state),
-                Some(r) => {
-                    assert_eq!(&state, r, "{backend}/{method}: diverged from reference")
+            for workers in [1, 2] {
+                let fork = engine.fork_crashed().unwrap();
+                fork.recover_with(method, RecoveryOptions::with_workers(workers))
+                    .unwrap_or_else(|e| panic!("{backend}/{method}/w{workers}: {e}"));
+                shadow.verify_against(&fork).unwrap_or_else(|e| {
+                    panic!("{backend}/{method}/w{workers}: diverged from oracle: {e}")
+                });
+                fork.verify_table(DEFAULT_TABLE)
+                    .unwrap_or_else(|e| panic!("{backend}/{method}/w{workers}: structure: {e}"));
+                let state = fork.scan_table(DEFAULT_TABLE).unwrap();
+                match &reference {
+                    None => reference = Some(state),
+                    Some(r) => assert_eq!(
+                        &state, r,
+                        "{backend}/{method}/w{workers}: diverged from reference"
+                    ),
                 }
             }
         }
         states.push(reference.unwrap());
     }
-    assert_eq!(states[1], states[0], "tcp:btree recovered different state than btree");
+    for (backend, state) in backends.iter().zip(&states).skip(1) {
+        assert_eq!(state, &states[0], "{backend} recovered different state than btree");
+    }
 }
 
 #[test]

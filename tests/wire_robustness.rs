@@ -4,17 +4,21 @@
 //! stream framing is intact enough to answer on) or a **clean
 //! disconnect** (when it is not), never a panic, a wedge, or a poisoned
 //! server. Both network fronts are swept: the DC's wire server
-//! ([`lr_dc::DcServer`] over [`lr_dc::TcpDcServer`]) and the
-//! client-facing session server ([`lr_server::Server`]).
+//! ([`lr_dc::DcServer`] over [`lr_dc::TcpDcServer`]) — on a small
+//! `Stats` frame and on a recovery-sized `Redo` frame carrying a whole
+//! window — and the client-facing session server ([`lr_server::Server`]).
 
 use lr_common::codec::{frame, read_raw_frame_from, unframe, MAX_FRAME_BODY};
-use lr_common::{IoModel, SimClock, TableId};
+use lr_common::{IoModel, Lsn, PageId, SimClock, TableId, TxnId};
 use lr_core::{Engine, EngineConfig};
 use lr_dc::server::{envelope, open_envelope};
-use lr_dc::{DcConfig, DcReply, DcRequest, DcServer, TcpDcServer, WireError};
+use lr_dc::wire::encode_redo;
+use lr_dc::{
+    DcConfig, DcReply, DcRequest, DcServer, Dpt, Family, Prefetch, RedoPlan, TcpDcServer, WireError,
+};
 use lr_server::protocol::{ClientReply, ClientRequest};
 use lr_server::{Server, ServerConfig};
-use lr_wal::Wal;
+use lr_wal::{LogPayload, LogRecord, Wal};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -40,7 +44,8 @@ fn battery(valid: &[u8]) -> Vec<(&'static str, Vec<u8>, Expect)> {
     let mut bad_crc = valid.to_vec();
     bad_crc[4] ^= 0xFF; // CRC field itself corrupted
     let garbage = frame(&[0xDE, 0xAD]); // valid CRC over an un-openable envelope
-    let truncated = valid[..valid.len() - 3].to_vec(); // frame cut mid-body
+    let truncated = valid[..valid.len() - 3].to_vec(); // frame cut at its tail
+    let halved = valid[..valid.len() / 2].to_vec(); // cut mid-body (mid-record for Redo)
     let runt = valid[..3].to_vec(); // cut mid-header
     let mut oversized = Vec::new(); // length prefix past the cap
     oversized.extend_from_slice(&((MAX_FRAME_BODY as u32) + 1).to_le_bytes());
@@ -50,6 +55,7 @@ fn battery(valid: &[u8]) -> Vec<(&'static str, Vec<u8>, Expect)> {
         ("corrupted crc field", bad_crc, Expect::TypedErrorEchoZero),
         ("well-framed garbage payload", garbage, Expect::TypedErrorEchoZero),
         ("truncated frame", truncated, Expect::CleanClose),
+        ("frame cut in half", halved, Expect::CleanClose),
         ("runt header", runt, Expect::CleanClose),
         ("oversized length prefix", oversized, Expect::CleanClose),
     ]
@@ -75,6 +81,35 @@ fn is_wire_error(w: &WireError) -> bool {
 // the DC wire server
 // ---------------------------------------------------------------------
 
+/// A valid `Redo` request: a window of `n` update records and a
+/// physiological plan whose empty DPT screens every one of them out, so
+/// serving it — as often as the battery likes — touches no page.
+fn redo_request(n: u64) -> Vec<u8> {
+    let window: Vec<LogRecord> = (0..n)
+        .map(|k| LogRecord {
+            lsn: Lsn(1_000 + k),
+            payload: LogPayload::Update {
+                txn: TxnId(1),
+                table: TableId(1),
+                key: k,
+                pid: PageId(3),
+                prev_lsn: Lsn::NULL,
+                before: vec![1; 64],
+                after: vec![2; 64],
+            },
+        })
+        .collect();
+    let plan = RedoPlan {
+        family: Family::Physiological,
+        prefetch: Prefetch::None,
+        dpt: Some(Dpt::new()),
+        tail_from: Lsn::MAX,
+        pf_list: Vec::new(),
+        workers: 1,
+    };
+    encode_redo(&window, &plan)
+}
+
 #[test]
 fn dc_server_answers_corruption_typed_or_hangs_up_clean() {
     let reg = lr_dc::backend("btree").unwrap();
@@ -85,26 +120,38 @@ fn dc_server_answers_corruption_typed_or_hangs_up_clean() {
     let tcp = TcpDcServer::spawn(Arc::new(DcServer::new(inner))).unwrap();
     let addr = tcp.addr();
 
-    let valid = frame(&envelope(1, &DcRequest::Stats.encode()));
-    for (name, bytes, expect) in battery(&valid) {
-        match (send_raw(addr, &bytes), expect) {
-            (Some(raw), Expect::TypedErrorEchoZero) => {
-                let (echo, body) = open_envelope(unframe(&raw).unwrap()).unwrap();
-                assert_eq!(echo, 0, "{name}: corrupt frames answer under id 0");
-                match DcReply::decode(body).unwrap() {
-                    DcReply::Err(w) => assert!(is_wire_error(&w), "{name}: got {w:?}"),
-                    other => panic!("{name}: expected a typed error, got {other:?}"),
+    // The honest answer to each request: real stats, and every one of the
+    // window's 200 records screened out.
+    let answered = |op: &str, rep: &DcReply| match (op, rep) {
+        ("stats", DcReply::Stats(_)) => true,
+        ("redo", DcReply::Redone(s)) => s.skipped_no_dpt_entry == 200 && s.ops_reapplied == 0,
+        _ => false,
+    };
+    for (op, body) in [("stats", DcRequest::Stats.encode()), ("redo", redo_request(200))] {
+        let valid = frame(&envelope(1, &body));
+        for (name, bytes, expect) in battery(&valid) {
+            match (send_raw(addr, &bytes), expect) {
+                (Some(raw), Expect::TypedErrorEchoZero) => {
+                    let (echo, body) = open_envelope(unframe(&raw).unwrap()).unwrap();
+                    assert_eq!(echo, 0, "{op}/{name}: corrupt frames answer under id 0");
+                    match DcReply::decode(body).unwrap() {
+                        DcReply::Err(w) => assert!(is_wire_error(&w), "{op}/{name}: got {w:?}"),
+                        other => panic!("{op}/{name}: expected a typed error, got {other:?}"),
+                    }
+                }
+                (None, Expect::CleanClose) => {}
+                (got, _) => {
+                    panic!("{op}/{name}: wrong outcome (reply present: {})", got.is_some())
                 }
             }
-            (None, Expect::CleanClose) => {}
-            (got, _) => panic!("{name}: wrong outcome (reply present: {})", got.is_some()),
+            // The server survives every case: a fresh, honest request on a
+            // fresh connection still gets its real answer back.
+            let raw = send_raw(addr, &valid).expect("server still serving after corruption");
+            let (echo, body) = open_envelope(unframe(&raw).unwrap()).unwrap();
+            assert_eq!(echo, 1);
+            let reply = DcReply::decode(body).unwrap();
+            assert!(answered(op, &reply), "{op}/{name}: aftermath {reply:?}");
         }
-        // The server survives every case: a fresh, honest request on a
-        // fresh connection still gets real stats back.
-        let raw = send_raw(addr, &valid).expect("server still serving after corruption");
-        let (echo, body) = open_envelope(unframe(&raw).unwrap()).unwrap();
-        assert_eq!(echo, 1);
-        assert!(matches!(DcReply::decode(body).unwrap(), DcReply::Stats(_)), "{name}: aftermath");
     }
 }
 
