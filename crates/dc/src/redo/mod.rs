@@ -138,7 +138,7 @@ fn trace_of(pool: &BufferPool) -> TraceSink {
 }
 
 /// Where redo's simulated cost lands.
-pub(crate) enum Meter {
+enum Meter {
     /// The shared SimClock, in program order (the inline path). Device
     /// stalls are already on it; only CPU is charged here.
     Clock,
@@ -148,7 +148,7 @@ pub(crate) enum Meter {
 }
 
 impl Meter {
-    pub(crate) fn charge(&mut self, pool: &BufferPool, cpu_us: u64, stall_us: u64) {
+    fn charge(&mut self, pool: &BufferPool, cpu_us: u64, stall_us: u64) {
         match self {
             Meter::Clock if cpu_us > 0 => pool.disk_mut().charge_cpu(cpu_us),
             Meter::Clock => {}
@@ -157,7 +157,7 @@ impl Meter {
     }
 
     /// The busy total (zero on the inline path, whose time is the clock's).
-    pub(crate) fn busy_us(&self) -> u64 {
+    fn busy_us(&self) -> u64 {
         match self {
             Meter::Clock => 0,
             Meter::Busy(us) => *us,
@@ -167,7 +167,7 @@ impl Meter {
 
 /// The redo kernel every sink and worker runs: fetch `pid`, test its pLSN,
 /// apply `rec` when the page is older, and count which it was.
-pub(crate) fn apply_one(
+fn apply_one(
     dc: &dyn RedoBackend,
     pid: PageId,
     rec: &LogRecord,
@@ -193,7 +193,7 @@ pub(crate) fn apply_one(
 }
 
 /// Where [`Screen::run`] sends its work.
-pub(crate) trait RedoSink {
+trait RedoSink {
     /// Where the loop's CPU and traversal stalls are charged.
     fn meter(&mut self) -> &mut Meter;
     /// Window record `idx` passed the screen: redo it at `pid`.
@@ -213,7 +213,7 @@ enum ReadAhead {
 }
 
 /// One method's redo screen over one window, built once per recovery.
-pub(crate) struct Screen<'a> {
+struct Screen<'a> {
     family: Family,
     dpt: Option<&'a Dpt>,
     tail_from: Lsn,
@@ -241,7 +241,7 @@ impl<'a> Screen<'a> {
     /// The one redo loop: screen every record of `window`, handing SMOs
     /// (physiological family) and surviving data records to `sink`.
     /// Screen counters go straight into `bk`.
-    pub(crate) fn run(
+    fn run(
         mut self,
         dc: &dyn RedoBackend,
         window: &[LogRecord],

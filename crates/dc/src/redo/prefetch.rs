@@ -7,7 +7,7 @@ use lr_common::{Lsn, PageId, RecoveryBreakdown};
 use lr_wal::{LogPayload, LogRecord};
 
 /// Log-driven read-ahead state (SQL2).
-pub(crate) struct LogDrivenPrefetcher {
+pub(super) struct LogDrivenPrefetcher {
     /// Next window index the look-ahead has examined.
     next_idx: usize,
     /// How many records to stay ahead of the redo cursor.
@@ -15,7 +15,7 @@ pub(crate) struct LogDrivenPrefetcher {
 }
 
 impl LogDrivenPrefetcher {
-    pub(crate) fn new(lookahead: usize) -> LogDrivenPrefetcher {
+    pub(super) fn new(lookahead: usize) -> LogDrivenPrefetcher {
         LogDrivenPrefetcher { next_idx: 0, lookahead }
     }
 
@@ -23,7 +23,7 @@ impl LogDrivenPrefetcher {
     /// pages that will pass the DPT/rLSN screen (App. A.2's rule: "if a PID
     /// is in the DPT, and the rLSN of the DPT entry is less than the LSN of
     /// the log record ... a prefetch for the corresponding page is issued").
-    pub(crate) fn pump(
+    pub(super) fn pump(
         &mut self,
         pool: &BufferPool,
         window: &[LogRecord],
@@ -66,7 +66,7 @@ impl LogDrivenPrefetcher {
 /// describes along with its hazard — "if prefetching proceeds too quickly,
 /// pages may get flushed before the redo scan requests them; if it
 /// proceeds too slowly, redo may need to wait".
-pub(crate) struct PfListPrefetcher {
+pub(super) struct PfListPrefetcher {
     list: Vec<PageId>,
     next: usize,
     issued: u64,
@@ -75,12 +75,12 @@ pub(crate) struct PfListPrefetcher {
 }
 
 impl PfListPrefetcher {
-    pub(crate) fn new(list: Vec<PageId>, ahead: u64) -> PfListPrefetcher {
+    pub(super) fn new(list: Vec<PageId>, ahead: u64) -> PfListPrefetcher {
         PfListPrefetcher { list, next: 0, issued: 0, ahead }
     }
 
     /// The DPT's pages, lowest rLSN first.
-    pub(crate) fn in_rlsn_order(dpt: &Dpt, ahead: u64) -> PfListPrefetcher {
+    pub(super) fn in_rlsn_order(dpt: &Dpt, ahead: u64) -> PfListPrefetcher {
         let list = dpt.entries_by_rlsn().into_iter().map(|(pid, _)| pid).collect();
         PfListPrefetcher::new(list, ahead)
     }
@@ -92,7 +92,7 @@ impl PfListPrefetcher {
     /// contain duplicates (a page pruned and re-dirtied appears once per
     /// incarnation), and counting filtered duplicates against the budget
     /// would silently starve the read-ahead.
-    pub(crate) fn pump(
+    pub(super) fn pump(
         &mut self,
         pool: &BufferPool,
         dpt: &Dpt,
