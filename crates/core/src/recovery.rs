@@ -785,6 +785,74 @@ mod tests {
         }
     }
 
+    /// The `(phase, worker)` recovery spans a traced recovery journals:
+    /// analysis; SMO redo for a logical method, or the partitioned SMO
+    /// barrier for a physiological one; preload where the method's row asks
+    /// for it; one redo span (one per worker when partitioned); the index
+    /// rebuild; undo.
+    fn expected_spans(method: RecoveryMethod, workers: u64) -> Vec<(&'static str, u64)> {
+        let spec = method.spec();
+        let mut spans = vec![("analysis", 0), ("index_rebuild", 0), ("undo", 0)];
+        if spec.family == Family::Logical || workers > 1 {
+            spans.push(("smo_redo", 0));
+        }
+        if spec.preload {
+            spans.push(("index_preload", 0));
+        }
+        spans.extend((0..workers).map(|w| ("redo", w)));
+        spans.sort_unstable();
+        spans
+    }
+
+    #[test]
+    fn traced_recovery_spans_are_pinned_per_method_and_worker_count() {
+        for backend in ["btree", "hash", "remote:btree"] {
+            let e = Engine::build(EngineConfig {
+                initial_rows: 2_000,
+                pool_pages: 64,
+                io_model: lr_common::IoModel::zero(),
+                aries_ckpt_capture: true,
+                trace: true,
+                backend: backend.to_string(),
+                ..EngineConfig::default()
+            })
+            .unwrap();
+            e.checkpoint().unwrap();
+            for k in 0..300u64 {
+                let t = e.begin().unwrap();
+                e.update(t, k * 7 % 2_000, format!("v{k}").into_bytes()).unwrap();
+                e.commit(t).unwrap();
+            }
+            let loser = e.begin().unwrap();
+            e.update(loser, 3, b"loser".to_vec()).unwrap();
+            e.crash();
+            for method in RecoveryMethod::all() {
+                for workers in [1, 2] {
+                    let fork = e.fork_crashed().unwrap();
+                    let opts = crate::precovery::RecoveryOptions::with_workers(workers);
+                    fork.recover_with(method, opts).unwrap();
+                    let (mut starts, mut ends) = (Vec::new(), Vec::new());
+                    for ev in fork.drain_trace() {
+                        match ev.kind {
+                            EventKind::RecoveryPhaseStart { phase, worker } => {
+                                starts.push((phase.name(), worker))
+                            }
+                            EventKind::RecoveryPhaseEnd { phase, worker, .. } => {
+                                ends.push((phase.name(), worker))
+                            }
+                            _ => {}
+                        }
+                    }
+                    starts.sort_unstable();
+                    ends.sort_unstable();
+                    let want = expected_spans(method, workers as u64);
+                    assert_eq!(starts, want, "{backend}/{method}/w{workers}: span starts");
+                    assert_eq!(ends, want, "{backend}/{method}/w{workers}: span ends");
+                }
+            }
+        }
+    }
+
     #[test]
     fn crash_before_anchor_publication_still_starts_at_newest_checkpoint() {
         // The eCkpt record is forced, the crash comes before its bCkpt is

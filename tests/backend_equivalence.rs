@@ -603,18 +603,15 @@ const REMOTE_MODELED: [(&str, [u64; 13]); 5] = [
     ("SQL2", [36083, 4588, 0, 9500, 33, 1, 31473, 34, 29, 32, 5, 71, 20]),
 ];
 
-/// The crossings one recovery makes, per op, for a fixed `remote:btree`
-/// crash: each of the paper's five methods serially, and Log1 on two redo
-/// workers — and, under the default (costed) I/O model, each serial
-/// method's modeled breakdown, which redo running DC-side left unchanged.
-#[test]
-fn remote_recovery_crossings_are_pinned_per_method() {
-    let cfg = EngineConfig { io_model: IoModel::default(), ..config_for("remote:btree") };
+/// The crash the modeled-breakdown pins recover from, on `backend`, under
+/// the default (costed) I/O model: `run_workload`, then committed work
+/// past the last checkpoint with appends splitting leaves, so the redo
+/// window holds data records and SMOs for every method.
+fn pinned_crash(backend: &str) -> Engine {
+    let cfg = EngineConfig { io_model: IoModel::default(), ..config_for(backend) };
     let mut shadow = ShadowDb::with_initial_rows(&cfg);
     let engine = Engine::build(cfg).unwrap();
     run_workload(&engine, &mut shadow);
-    // Committed work past the last checkpoint, appends splitting leaves,
-    // so the redo window holds data records and SMOs for every method.
     let vsize = engine.config().row_value_size;
     for i in 0..80u64 {
         let t = engine.begin().unwrap();
@@ -631,6 +628,16 @@ fn remote_recovery_crossings_are_pinned_per_method() {
         engine.commit(t).unwrap();
     }
     engine.crash();
+    engine
+}
+
+/// The crossings one recovery makes, per op, for a fixed `remote:btree`
+/// crash: each of the paper's five methods serially, and Log1 on two redo
+/// workers — and, under the default (costed) I/O model, each serial
+/// method's modeled breakdown, which redo running DC-side left unchanged.
+#[test]
+fn remote_recovery_crossings_are_pinned_per_method() {
+    let engine = pinned_crash("remote:btree");
 
     let recover = |method: RecoveryMethod, workers: usize| {
         let fork = engine.fork_crashed().unwrap();
@@ -689,6 +696,56 @@ fn remote_recovery_crossings_are_pinned_per_method() {
         ("Log1", 2, with(&logical)),
     ];
     assert_eq!(got, want);
+}
+
+/// The pinned breakdown fields, in `PAGE_LOGICAL_MODELED` column order.
+fn page_logical_fields(b: &lr_common::RecoveryBreakdown) -> [u64; 14] {
+    [
+        b.redo_us,
+        b.analysis_us,
+        b.smo_redo_us,
+        b.index_preload_us,
+        b.index_rebuild_us,
+        b.undo_us,
+        b.data_pages_fetched,
+        b.index_pages_fetched,
+        b.prefetch_pages,
+        b.prefetch_ios,
+        b.skipped_no_dpt_entry,
+        b.skipped_rlsn,
+        b.skipped_plsn,
+        b.ops_reapplied,
+    ]
+}
+
+/// Serial recovery's modeled breakdown for `pinned_crash` on the two
+/// page-logical backends, per method. Columns: redo, analysis, SMO-redo,
+/// preload, index-rebuild, undo (µs); data / index pages fetched,
+/// prefetch pages / I/Os; skipped no-entry / rLSN / pLSN, ops re-applied.
+const PAGE_LOGICAL_MODELED: [(&str, &str, [u64; 14]); 10] = [
+    ("hash", "Log0", [363110, 3098, 0, 0, 288000, 9500, 45, 0, 0, 0, 0, 0, 110, 12]),
+    ("hash", "Log1", [99110, 3098, 0, 0, 416000, 9500, 12, 0, 0, 0, 70, 40, 0, 12]),
+    ("hash", "SQL1", [267110, 3098, 0, 0, 256000, 9500, 33, 0, 0, 0, 12, 56, 42, 12]),
+    ("hash", "Log2", [42579, 3098, 0, 0, 416000, 9500, 12, 0, 9, 9, 70, 40, 0, 12]),
+    ("hash", "SQL2", [42512, 3098, 0, 0, 256000, 9500, 33, 0, 33, 33, 12, 56, 42, 12]),
+    ("log", "Log0", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
+    ("log", "Log1", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
+    ("log", "SQL1", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
+    ("log", "Log2", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
+    ("log", "SQL2", [50597, 3074, 0, 0, 384000, 17500, 45, 0, 45, 45, 0, 0, 0, 122]),
+];
+
+#[test]
+fn hash_and_log_serial_breakdowns_are_pinned_per_method() {
+    let mut got = Vec::new();
+    for backend in ["hash", "log"] {
+        let engine = pinned_crash(backend);
+        for method in RecoveryMethod::paper_five() {
+            let report = engine.fork_crashed().unwrap().recover(method).unwrap();
+            got.push((backend, method.name(), page_logical_fields(&report.breakdown)));
+        }
+    }
+    assert_eq!(got, PAGE_LOGICAL_MODELED, "one row per backend and method, in paper order");
 }
 
 // ---------------------------------------------------------------------
