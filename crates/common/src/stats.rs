@@ -129,9 +129,9 @@ pub struct RecoveryBreakdown {
     /// The redo pass proper. For parallel recovery this is the wall-clock
     /// of the slowest redo worker (max-of-workers), not the sum.
     pub redo_us: u64,
-    /// Post-redo volatile-structure rebuild (`DcApi::finish_redo`): zero
-    /// for the B-tree backend, the in-memory key-index rebuild for the
-    /// hash backend.
+    /// Post-redo volatile-structure rebuild, the last phase of
+    /// `DcApi::redo`: zero for the B-tree backend, the in-memory key-index
+    /// rebuild for the hash and log backends.
     pub index_rebuild_us: u64,
     /// Partition/dispatch phase of parallel redo: the dispatcher's one log
     /// scan — per-record CPU, DPT screening, and (for logical methods) the
@@ -208,6 +208,12 @@ pub struct RecoveryBreakdown {
     pub index_stall_events: u64,
     /// Simulated µs stalled on index pages during redo.
     pub index_stall_us: u64,
+    /// SMO page images SMO redo installed (logical methods).
+    pub smo_pages_applied: u64,
+    /// SMO page images SMO redo found already installed (pLSN test).
+    pub smo_pages_skipped: u64,
+    /// Index pages index preload left resident (Log2-family methods).
+    pub index_pages_loaded: u64,
     /// Prefetch device operations issued.
     pub prefetch_ios: u64,
     /// Pages covered by prefetch operations.
@@ -261,12 +267,16 @@ impl RecoveryBreakdown {
         self.data_pages_fetched + self.index_pages_fetched
     }
 
-    /// The redo shard: the fields the data component's redo pass fills,
-    /// in a fixed order — the order they cross a message boundary in.
-    pub fn redo_shard_mut(&mut self) -> [&mut u64; 21] {
+    /// The redo shard: the fields the data component's recovery pass
+    /// (`DcApi::redo`) fills, in a fixed order — the order they cross a
+    /// message boundary in.
+    pub fn redo_shard_mut(&mut self) -> [&mut u64; 28] {
         [
+            &mut self.analysis_us,
             &mut self.smo_redo_us,
+            &mut self.index_preload_us,
             &mut self.redo_us,
+            &mut self.index_rebuild_us,
             &mut self.partition_us,
             &mut self.merge_us,
             &mut self.worker_busy_max_us,
@@ -274,6 +284,7 @@ impl RecoveryBreakdown {
             &mut self.queue_stall_us,
             &mut self.data_pages_fetched,
             &mut self.index_pages_fetched,
+            &mut self.log_pages_read,
             &mut self.redo_records_seen,
             &mut self.skipped_no_dpt_entry,
             &mut self.skipped_rlsn,
@@ -284,15 +295,18 @@ impl RecoveryBreakdown {
             &mut self.data_stall_us,
             &mut self.index_stall_events,
             &mut self.index_stall_us,
+            &mut self.smo_pages_applied,
+            &mut self.smo_pages_skipped,
+            &mut self.index_pages_loaded,
             &mut self.prefetch_ios,
             &mut self.prefetch_pages,
         ]
     }
 
-    /// Fold a redo pass's shard into this report. Additive: before redo
-    /// every shard field reads zero here but the prefetch counters
-    /// (index preload's) and `smo_redo_us` (a logical method's DC
-    /// recovery, which a barrier-running physiological pass never has).
+    /// Fold the data component's shard into this report. Additive: the
+    /// TC's own analysis pass has already filled `analysis_us` and
+    /// `log_pages_read`, to which the DC's catalog reload and window
+    /// re-read add.
     pub fn add_redo_shard(&mut self, mut shard: RecoveryBreakdown) {
         for (into, from) in self.redo_shard_mut().into_iter().zip(shard.redo_shard_mut()) {
             *into += *from;
@@ -376,16 +390,12 @@ mod tests {
 
     #[test]
     fn redo_shard_adds_into_the_report() {
-        let mut report = RecoveryBreakdown {
-            analysis_us: 9,
-            dpt_size: 4,
-            prefetch_pages: 3,
-            ..Default::default()
-        };
+        let mut report =
+            RecoveryBreakdown { undo_us: 9, dpt_size: 4, prefetch_pages: 3, ..Default::default() };
         let shard = RecoveryBreakdown { prefetch_pages: 5, ops_reapplied: 2, ..Default::default() };
         report.add_redo_shard(shard);
         assert_eq!((report.prefetch_pages, report.ops_reapplied), (8, 2));
-        assert_eq!((report.analysis_us, report.dpt_size), (9, 4), "not shard fields");
+        assert_eq!((report.undo_us, report.dpt_size), (9, 4), "not shard fields");
     }
 
     #[test]

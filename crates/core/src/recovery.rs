@@ -1,13 +1,14 @@
-//! Recovery orchestration: crash → (analysis / DC recovery) → redo → undo.
+//! Recovery orchestration: crash → analysis → DC recovery → undo.
 //!
 //! This is the measured pipeline of §5: the clock starts at zero, every
 //! pass charges the simulated device, and the report carries the same
 //! numbers the paper's figures plot — redo time, DPT size, Δ/BW counts,
 //! page-fetch and stall breakdowns.
 //!
-//! Every method runs the same phases — restart, analysis, SMO redo,
-//! preload, redo, index rebuild, undo — and differs only in the four
-//! choices of its row in [`RecoveryMethod`]'s method table.
+//! Every method runs the same phases — restart, analysis, one
+//! [`lr_dc::DcApi::redo`] call (SMO redo, preload, redo and the index
+//! rebuild, all run DC-side and journaled there), undo — and differs only
+//! in the four choices of its row in [`RecoveryMethod`]'s method table.
 #![deny(clippy::too_many_lines)]
 
 use crate::engine::Engine;
@@ -20,7 +21,7 @@ use lr_dc::{
 };
 use lr_obs::{EventKind, RecoveryPhase};
 use lr_tc::{analyze_txns, undo_losers, UndoStats};
-use lr_wal::{LogPayload, LogRecord, RestartScan};
+use lr_wal::{LogPayload, RestartScan};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::Ordering;
@@ -82,9 +83,11 @@ impl MethodSpec {
         dpt: Option<Dpt>,
         tail_from: Lsn,
         pf_list: Vec<PageId>,
+        log_pages: u64,
         workers: usize,
     ) -> RedoPlan {
-        RedoPlan { family: self.family, prefetch: self.prefetch, dpt, tail_from, pf_list, workers }
+        let (family, prefetch, preload) = (self.family, self.prefetch, self.preload);
+        RedoPlan { family, prefetch, preload, dpt, tail_from, pf_list, log_pages, workers }
     }
 }
 
@@ -185,10 +188,6 @@ pub struct RecoveryReport {
     pub window_data_ops: u64,
     /// Log pages spanned by the window (one scan's worth).
     pub log_pages_in_window: u64,
-    /// Index pages loaded by preload (Log2 only).
-    pub index_pages_loaded: u64,
-    pub smo_pages_applied: u64,
-    pub smo_pages_skipped: u64,
     pub undo: UndoStats,
     /// Pool counters across the whole recovery.
     pub pool: PoolStats,
@@ -320,33 +319,12 @@ impl Engine {
         let analyze = || self.analyze(spec, &scan, log_pages, workers, &mut bk);
         let (plan, analysis_us) = self.phase(RecoveryPhase::Analysis, analyze, elapsed)?;
         bk.analysis_us = analysis_us;
-        let mut smo_pages = (0, 0);
-        if spec.family == Family::Logical {
-            // DC recovery precedes TC redo (§4.2): the index must be
-            // well-formed before any record is located by key.
-            (smo_pages, bk.smo_redo_us) =
-                self.phase(RecoveryPhase::SmoRedo, || self.dc.smo_redo(window), elapsed)?;
-        }
-        let mut index_pages_loaded = 0;
-        if spec.preload {
-            let (pl, us) =
-                self.phase(RecoveryPhase::IndexPreload, || self.dc.preload_index(), elapsed)?;
-            index_pages_loaded = pl.pages_loaded;
-            bk.prefetch_ios += pl.prefetch_ios;
-            bk.prefetch_pages += pl.prefetch_pages;
-            bk.index_preload_us = us;
-        }
-        self.redo(window, &plan, log_pages, &mut bk)?;
-        // Redo is exact at the page level (pLSN-guarded, and for the
-        // parallel pipeline partition-exclusive), but a backend keeping
-        // volatile per-key state cannot maintain it soundly during redo:
-        // pLSN-skipped records never run their index maintenance, and
-        // partitioned workers apply a moved key's delete and re-insert in
-        // no defined relative order. The backend restores that state from
-        // the now-final pages here, before undo re-locates by key (a no-op
-        // for the B-tree).
-        bk.index_rebuild_us =
-            self.phase(RecoveryPhase::IndexRebuild, || self.dc.finish_redo(), elapsed)?.1;
+        // DC recovery (§4.2) runs inside the DC, next to its pages: SMO
+        // redo — the index well-formed before any record is located by
+        // key — or the catalog reload, the preload, redo, and the rebuild
+        // of any volatile index from the final pages before undo
+        // re-locates by key.
+        bk.add_redo_shard(self.dc.redo(window, &plan)?);
         let undo = self.undo(&scan, workers, &mut bk)?;
 
         // ---- finish: back to normal execution ----
@@ -369,9 +347,6 @@ impl Engine {
             window_records: window.len() as u64,
             window_data_ops: window.iter().filter(|r| r.payload.is_data_op()).count() as u64,
             log_pages_in_window: log_pages,
-            index_pages_loaded,
-            smo_pages_applied: smo_pages.0,
-            smo_pages_skipped: smo_pages.1,
             undo,
             pool,
             io,
@@ -428,7 +403,8 @@ impl Engine {
 
     /// Analysis: one sequential scan of the window (log-page I/O plus
     /// per-record CPU), then the method's DPT construction. Returns what
-    /// redo runs: the method's row plus the DPT, tail and PF-list.
+    /// the DC runs: the method's row plus the DPT, tail, PF-list and the
+    /// window's log pages.
     fn analyze(
         &self,
         spec: MethodSpec,
@@ -445,13 +421,10 @@ impl Engine {
             let cpu_us = disk.io_model().cpu_log_record_us * window.len() as u64;
             disk.charge_cpu(cpu_us);
         }
-        if spec.family == Family::Physiological {
-            // No DC recovery runs SMO redo (and with it the catalog
-            // reload) first; the tree handles must exist before apply_at.
-            self.dc.reload_catalog()?;
-        }
         let (dpt, counts, tail_from, pf_list) = match spec.dpt {
-            DptSource::None => return Ok(spec.plan(None, Lsn::MAX, Vec::new(), workers)),
+            DptSource::None => {
+                return Ok(spec.plan(None, Lsn::MAX, Vec::new(), log_pages, workers))
+            }
             DptSource::Delta(mode) => {
                 let a = build_dpt_logical(window, scan.rssp_lsn, mode);
                 (a.dpt, a.counts, a.last_delta_tc_lsn, a.pf_list)
@@ -479,38 +452,7 @@ impl Engine {
         bk.bw_records_seen = counts.bw_records;
         bk.delta_records_seen = counts.delta_records;
         bk.dpt_size = dpt.len() as u64;
-        Ok(spec.plan(Some(dpt), tail_from, pf_list, workers))
-    }
-
-    /// Redo: re-read the window sequentially, then hand it and `plan` to
-    /// the DC, which runs the whole pass against its own pages
-    /// ([`lr_dc::DcApi::redo`]) and returns the redo shard. Serial redo is
-    /// the `Redo` span's SimClock delta; the partitioned pipeline reports
-    /// its own spans and busiest-worker time.
-    fn redo(
-        &self,
-        window: &[LogRecord],
-        plan: &RedoPlan,
-        log_pages: u64,
-        bk: &mut RecoveryBreakdown,
-    ) -> Result<()> {
-        bk.log_pages_read += log_pages;
-        if plan.workers <= 1 {
-            let run = || {
-                self.charge_log_reads(log_pages);
-                self.dc.redo(window, plan)
-            };
-            let (shard, us) = self.phase(RecoveryPhase::Redo, run, elapsed)?;
-            bk.add_redo_shard(shard);
-            bk.redo_us = us;
-        } else {
-            self.charge_log_reads(log_pages);
-            bk.add_redo_shard(self.dc.redo(window, plan)?);
-            // The dispatcher's log re-scan rides the sequential-read model,
-            // like the serial pass's window re-read.
-            bk.partition_us += log_pages * self.dc.pool().disk().io_model().log_page_read_us;
-        }
-        Ok(())
+        Ok(spec.plan(Some(dpt), tail_from, pf_list, log_pages, workers))
     }
 
     /// Transactional undo, common to all methods. Serial undo reports the

@@ -46,12 +46,14 @@
 //!   depends on it. [`DcApi::drain_in_flight_ops`] barriers in-flight
 //!   writers between the bCkpt append and the flush-generation flip.
 //! * **Crash/recovery**: [`DcApi::crash`] discards every volatile
-//!   structure while stable pages survive; [`DcApi::smo_redo`] must make
-//!   the index well-formed before any logical redo (§1.2), and
-//!   [`DcApi::redo`] runs the whole redo pass DC-side: the TC ships the
-//!   window and its analysis's [`RedoPlan`], the DC resolves each record's
-//!   page — by key traversal for the B-tree, by logged PID for a
-//!   page-logical backend — screens, prefetches and applies.
+//!   structure while stable pages survive, and [`DcApi::redo`] is the
+//!   whole of DC recovery, run DC-side in one call: the TC ships the
+//!   window and its method row plus analysis as a [`RedoPlan`]; the DC
+//!   runs SMO redo first so the index is well-formed before any logical
+//!   redo (§1.2), preloads the index if asked, resolves each record's page
+//!   — by key traversal for the B-tree, by logged PID for a page-logical
+//!   backend — screens, prefetches and applies, then rebuilds any
+//!   volatile index from the final pages.
 
 use crate::dc::{DcConfig, DcStats, PrepareInfo, WriteIntent};
 use crate::redo::RedoPlan;
@@ -173,17 +175,6 @@ pub struct Located {
     pub stall_us: u64,
 }
 
-/// What an index-preload pass did (Appendix A.1; Log2-family methods).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PreloadStats {
-    /// Index pages now resident.
-    pub pages_loaded: u64,
-    /// Prefetch I/Os issued while loading.
-    pub prefetch_ios: u64,
-    /// Pages those I/Os covered.
-    pub prefetch_pages: u64,
-}
-
 /// Narrow observability facet of a data component: stats, tuning and the
 /// shared infrastructure handles. Tests, benches and the engine's stats
 /// snapshot go through this instead of poking backend internals.
@@ -290,11 +281,6 @@ pub trait DcApi: DcIntrospect {
     /// the in-memory catalog all vanish; stable pages survive.
     fn crash(&self);
 
-    /// Reload the catalog (and any backend-specific placement structure)
-    /// from stable pages — first step of DC recovery. SMO redo then fixes
-    /// whatever moved after the last flush.
-    fn reload_catalog(&self) -> Result<()>;
-
     // ------------------------------------------------------------------
     // checkpoint / cleaner hooks
     // ------------------------------------------------------------------
@@ -307,16 +293,10 @@ pub trait DcApi: DcIntrospect {
     /// Force both trackers to emit (checkpoint boundary).
     fn force_emit(&self);
 
-    /// Throw away pending cache events (setup phases only).
-    fn discard_events(&self);
-
     /// One lazywriter activation (background maintenance entry point):
     /// flush up to a batch of cold dirty pages if over the watermark.
     /// Returns pages flushed.
     fn cleaner_pass(&self) -> Result<usize>;
-
-    /// Is the cache dirtier than the lazywriter watermark right now?
-    fn over_dirty_watermark(&self) -> bool;
 
     /// One compactor activation (background maintenance entry point):
     /// migrate live versions out of cold log segments if the garbage
@@ -324,12 +304,6 @@ pub trait DcApi: DcIntrospect {
     /// no-op for backends whose store is not the log.
     fn compact_pass(&self) -> Result<usize> {
         Ok(0)
-    }
-
-    /// Is the cold log region's garbage ratio over the compaction
-    /// watermark right now? Always `false` for page-store backends.
-    fn over_garbage_watermark(&self) -> bool {
-        false
     }
 
     // ------------------------------------------------------------------
@@ -347,15 +321,6 @@ pub trait DcApi: DcIntrospect {
     /// The placement anchor of `table`.
     fn table_root(&self, table: TableId) -> Result<PageId>;
 
-    /// Update a table's placement anchor (SMO redo during DC recovery).
-    fn set_root(&self, table: TableId, root: PageId);
-
-    /// Persist the catalog under `lsn`.
-    fn save_catalog(&self, lsn: Lsn) -> Result<()>;
-
-    /// All registered tables.
-    fn tables(&self) -> Vec<TableId>;
-
     /// Exclusive table latch (undo relocation, external SMO-capable
     /// flows): while held, no other writer can move records of `table`.
     fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_>;
@@ -368,19 +333,16 @@ pub trait DcApi: DcIntrospect {
     // recovery hooks
     // ------------------------------------------------------------------
 
-    /// DC structure recovery: reload the catalog from stable pages and
-    /// replay SMO system transactions in `window` (pLSN-guarded) so the
-    /// placement structure is well-formed before logical redo (§1.2).
-    /// Returns `(pages applied, pages skipped)`.
-    fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)>;
-
-    /// Redo (Algorithms 1, 2 and 5): run `plan` — what the TC's analysis
-    /// decided — over the scan `window` against this DC's own pages:
-    /// screen, read ahead, replay SMOs (physiological family) and apply,
-    /// inline or on `plan.workers` partitioned workers
-    /// ([`crate::redo`]). Returns the pass's breakdown shard
-    /// ([`RecoveryBreakdown::redo_shard_mut`]), page-fetch and stall
-    /// counters included.
+    /// DC recovery (§4.2) and redo (Algorithms 1, 2 and 5) in one pass:
+    /// run `plan` — the method's row and what the TC's analysis decided —
+    /// over the scan `window` against this DC's own pages. SMO redo
+    /// (logical family) or the catalog reload (physiological), the index
+    /// preload when `plan.preload`, the window re-read, then screen, read
+    /// ahead, replay SMOs (physiological family) and apply, inline or on
+    /// `plan.workers` partitioned workers, and finally rebuild any
+    /// volatile per-key index from the final pages ([`crate::redo`]). Each
+    /// phase journals its own span. Returns the pass's breakdown shard
+    /// ([`RecoveryBreakdown::redo_shard_mut`]).
     fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown>;
 
     /// Locate the page currently (or prospectively) holding `key` for
@@ -388,22 +350,6 @@ pub trait DcApi: DcIntrospect {
     /// moved since it was logged (§2.2). Callers must hold
     /// [`DcApi::lock_table_exclusive`].
     fn locate_key(&self, table: TableId, key: Key) -> Result<Located>;
-
-    /// Load the backend's index structure into the cache (Appendix A.1's
-    /// preload; a no-op for backends whose index is volatile).
-    fn preload_index(&self) -> Result<PreloadStats>;
-
-    /// Called once after **every** data-redo pass, before undo. Redo is
-    /// exact at the page level, but volatile per-*key* state cannot be
-    /// maintained soundly during it: pLSN-skipped records never run their
-    /// index maintenance, and partitioned workers apply a moved key's
-    /// delete and re-insert in no defined relative order. A backend
-    /// keeping such state must restore it from the (final, pLSN-guarded)
-    /// pages here. Default: no-op — the B-tree derives placement from the
-    /// pages themselves.
-    fn finish_redo(&self) -> Result<()> {
-        Ok(())
-    }
 
     // ------------------------------------------------------------------
     // lifecycle / observability

@@ -48,9 +48,7 @@
 //! descent so evicted frame cells they may still dereference are parked on
 //! the limbo list instead of being recycled under them.
 
-use crate::api::{
-    DcApi, DcIntrospect, Located, PreloadStats, PreparedOp, TableGuard, TableSummary,
-};
+use crate::api::{DcApi, DcIntrospect, Located, PreparedOp, TableGuard, TableSummary};
 use crate::catalog::{Catalog, META_PAGE};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
@@ -446,20 +444,10 @@ impl DataComponent {
         self.catalog.lock().root_of(table)
     }
 
-    /// Update a table's root (SMO redo during DC recovery).
+    /// Update a table's root (physiological redo's SMO replay).
     pub fn set_root(&self, table: TableId, root: PageId) {
         self.catalog.lock().set_root(table, root);
         self.trees.write().insert(table, BTree::attach(table, root));
-    }
-
-    /// Persist the catalog under `lsn`.
-    pub fn save_catalog(&self, lsn: Lsn) -> Result<()> {
-        self.catalog.lock().save(&self.pool, lsn)
-    }
-
-    /// All registered tables.
-    pub fn tables(&self) -> Vec<TableId> {
-        self.catalog.lock().tables().map(|(t, _)| t).collect()
     }
 
     /// Snapshot of the tree handle for `table` (cheap: table id + root PID).
@@ -949,7 +937,7 @@ impl DataComponent {
     }
 
     /// Is the cache dirtier than the lazywriter watermark right now?
-    pub fn over_dirty_watermark(&self) -> bool {
+    fn over_dirty_watermark(&self) -> bool {
         self.pool.dirty_count() > self.cleaner_watermark()
     }
 
@@ -998,11 +986,6 @@ impl DataComponent {
         self.trackers.force_emit(&self.pool, &self.wal, &self.stats);
     }
 
-    /// Throw away pending cache events (setup phases only).
-    pub fn discard_events(&self) {
-        self.pool.take_events();
-    }
-
     // ------------------------------------------------------------------
     // control operations
     // ------------------------------------------------------------------
@@ -1038,17 +1021,6 @@ impl DataComponent {
         self.trees.write().clear();
     }
 
-    /// Reload the catalog and tree handles from the (possibly stale) meta
-    /// page — first step of DC recovery; SMO redo then fixes any roots that
-    /// moved after the last meta flush.
-    pub fn reload_catalog(&self) -> Result<()> {
-        let catalog = Catalog::load(&self.pool)?;
-        *self.trees.write() =
-            catalog.tables().map(|(t, root)| (t, BTree::attach(t, root))).collect();
-        *self.catalog.lock() = catalog;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // resolution / verification (the DcApi recovery hooks)
     // ------------------------------------------------------------------
@@ -1075,47 +1047,6 @@ impl DataComponent {
             internal_pages: s.internal_pages,
             height: s.height,
         })
-    }
-
-    /// Appendix A.1's index preload: load every internal page of every
-    /// table into the cache, level by level, prefetching each level as a
-    /// batch so reads overlap.
-    pub fn preload_index(&self) -> Result<PreloadStats> {
-        let mut out = PreloadStats::default();
-        for table in self.tables() {
-            let root = self.table_root(table)?;
-            let mut frontier = vec![root];
-            loop {
-                let mut children: Vec<PageId> = Vec::new();
-                for pid in &frontier {
-                    self.pool.fetch(*pid)?;
-                    let (is_internal, level, kids) = self.pool.with_page(*pid, |p| {
-                        if p.page_type() == lr_storage::PageType::Internal {
-                            let kids: Vec<PageId> = (0..p.slot_count())
-                                .map(|s| lr_btree::parse_internal_entry(p.record(s)).1)
-                                .collect();
-                            (true, p.level(), kids)
-                        } else {
-                            (false, 0, Vec::new())
-                        }
-                    })?;
-                    if is_internal {
-                        out.pages_loaded += 1;
-                        if level >= 2 {
-                            children.extend(kids);
-                        }
-                    }
-                }
-                if children.is_empty() {
-                    break;
-                }
-                let (ios, pages) = self.pool.prefetch(&children);
-                out.prefetch_ios += ios as u64;
-                out.prefetch_pages += pages as u64;
-                frontier = children;
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -1187,10 +1118,6 @@ impl DcApi for DataComponent {
         DataComponent::crash(self)
     }
 
-    fn reload_catalog(&self) -> Result<()> {
-        DataComponent::reload_catalog(self)
-    }
-
     fn pump_events(&self) {
         DataComponent::pump_events(self)
     }
@@ -1199,16 +1126,8 @@ impl DcApi for DataComponent {
         DataComponent::force_emit(self)
     }
 
-    fn discard_events(&self) {
-        DataComponent::discard_events(self)
-    }
-
     fn cleaner_pass(&self) -> Result<usize> {
         DataComponent::cleaner_pass(self)
-    }
-
-    fn over_dirty_watermark(&self) -> bool {
-        DataComponent::over_dirty_watermark(self)
     }
 
     fn create_table(&self, table: TableId) -> Result<()> {
@@ -1223,18 +1142,6 @@ impl DcApi for DataComponent {
         DataComponent::table_root(self, table)
     }
 
-    fn set_root(&self, table: TableId, root: PageId) {
-        DataComponent::set_root(self, table, root)
-    }
-
-    fn save_catalog(&self, lsn: Lsn) -> Result<()> {
-        DataComponent::save_catalog(self, lsn)
-    }
-
-    fn tables(&self) -> Vec<TableId> {
-        DataComponent::tables(self)
-    }
-
     fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_> {
         TableGuard::new(DataComponent::lock_table_exclusive(self, table))
     }
@@ -1243,20 +1150,12 @@ impl DcApi for DataComponent {
         DataComponent::verify_table(self, table)
     }
 
-    fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)> {
-        crate::recovery::smo_redo(self, window)
-    }
-
     fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
         crate::redo::run(self, window, plan)
     }
 
     fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
         DataComponent::locate_key(self, table, key)
-    }
-
-    fn preload_index(&self) -> Result<PreloadStats> {
-        DataComponent::preload_index(self)
     }
 
     fn set_trace(&self, sink: TraceSink) {
@@ -1269,6 +1168,17 @@ impl DcApi for DataComponent {
 }
 
 impl RedoBackend for DataComponent {
+    fn catalog(&self) -> &Mutex<Catalog> {
+        &self.catalog
+    }
+
+    fn attach_placement(&self) -> Result<()> {
+        let catalog = self.catalog.lock();
+        *self.trees.write() =
+            catalog.tables().map(|(t, root)| (t, BTree::attach(t, root))).collect();
+        Ok(())
+    }
+
     /// Logical redo resolution: traverse internal pages to the leaf that
     /// holds (or would hold) `key` — Algorithm 5 line 4. The logged PID is
     /// advisory for this backend; the tree, made well-formed by SMO redo,
@@ -1306,7 +1216,7 @@ mod tests {
         let cfg = DcConfig { pool_pages: 1024, ..DcConfig::default() };
         let dc = DataComponent::open(Box::new(disk), Wal::new_shared(4096), cfg).unwrap();
         dc.register_table(TableId(1), root).unwrap();
-        let loaded = DcApi::preload_index(&dc).unwrap();
+        let loaded = RedoBackend::preload_index(&dc).unwrap();
         let internals = dc.tree(TableId(1)).unwrap().clone().internal_pids(dc.pool()).unwrap();
         assert_eq!(loaded.pages_loaded, internals.len() as u64);
         for pid in internals {

@@ -45,9 +45,7 @@
 //! reclamation epoch so evicted frame cells they may still validate wait
 //! on the pool's limbo list.
 
-use crate::api::{
-    DcApi, DcIntrospect, Located, PreloadStats, PreparedOp, TableGuard, TableSummary,
-};
+use crate::api::{DcApi, DcIntrospect, Located, PreparedOp, TableGuard, TableSummary};
 use crate::catalog::{Catalog, META_PAGE};
 use crate::dc::{DcConfig, DcCounters, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
@@ -171,6 +169,12 @@ pub fn hash_bulk_load(
 }
 
 impl HashDc {
+    /// Is the cache dirtier than the lazywriter watermark right now?
+    fn over_dirty_watermark(&self) -> bool {
+        let watermark = (self.cfg.dirty_watermark * self.pool.capacity() as f64) as usize;
+        self.pool.dirty_count() > watermark
+    }
+
     /// Open a hash DC over a formatted disk: builds the pool (wiring the
     /// on-demand EOSL path to the shared log), loads the catalog, and
     /// loads each registered table's placement **skeleton** (bucket heads
@@ -739,14 +743,6 @@ impl DcApi for HashDc {
         self.page_table.write().clear();
     }
 
-    fn reload_catalog(&self) -> Result<()> {
-        *self.catalog.lock() = Catalog::load(&self.pool)?;
-        // Placement skeletons only (heads, no key index): the chains are
-        // not well-formed until SMO replay runs, and `finish_redo`
-        // rebuilds the volatile index from the final pages afterwards.
-        self.load_all_skeletons()
-    }
-
     fn pump_events(&self) {
         if self.cfg.inline_cleaner && self.over_dirty_watermark() {
             let _ = self.pool.clean_coldest(self.cfg.cleaner_batch);
@@ -764,10 +760,6 @@ impl DcApi for HashDc {
         self.trackers.force_emit(&self.pool, &self.wal, &self.stats);
     }
 
-    fn discard_events(&self) {
-        self.pool.take_events();
-    }
-
     fn cleaner_pass(&self) -> Result<usize> {
         if !self.over_dirty_watermark() {
             return Ok(0);
@@ -781,11 +773,6 @@ impl DcApi for HashDc {
             &self.stats,
         );
         Ok(flushed)
-    }
-
-    fn over_dirty_watermark(&self) -> bool {
-        let watermark = (self.cfg.dirty_watermark * self.pool.capacity() as f64) as usize;
-        self.pool.dirty_count() > watermark
     }
 
     fn create_table(&self, table: TableId) -> Result<()> {
@@ -829,29 +816,6 @@ impl DcApi for HashDc {
 
     fn table_root(&self, table: TableId) -> Result<PageId> {
         self.catalog.lock().root_of(table)
-    }
-
-    fn set_root(&self, table: TableId, root: PageId) {
-        self.catalog.lock().set_root(table, root);
-        match self.load_table_map(table, root) {
-            Ok(map) => {
-                self.tables.write().insert(table, map);
-            }
-            // An unreadable new anchor must not leave the old map silently
-            // serving stale placement: drop it so every later operation
-            // fails loudly with UnknownTable instead.
-            Err(_) => {
-                self.tables.write().remove(&table);
-            }
-        }
-    }
-
-    fn save_catalog(&self, lsn: Lsn) -> Result<()> {
-        self.catalog.lock().save(&self.pool, lsn)
-    }
-
-    fn tables(&self) -> Vec<TableId> {
-        self.catalog.lock().tables().map(|(t, _)| t).collect()
     }
 
     fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_> {
@@ -916,42 +880,8 @@ impl DcApi for HashDc {
         Ok(summary)
     }
 
-    fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)> {
-        // Catalog only — the chains are not well-formed until the images
-        // below are installed, so rebuilding the volatile maps here would
-        // walk every chain page a second (wasted) time.
-        *self.catalog.lock() = Catalog::load(&self.pool)?;
-        let mut applied = 0;
-        let mut skipped = 0;
-        for rec in window {
-            if let LogPayload::Smo(smo) = &rec.payload {
-                let (a, s) = crate::recovery::plsn_smo_install(&self.pool, rec.lsn, &smo.pages)?;
-                applied += a;
-                skipped += s;
-            }
-        }
-        // Chains are now well-formed; placement skeletons are all redo
-        // needs (it replays at logged PIDs). The volatile key index is
-        // rebuilt exactly once, by `finish_redo` after data redo — doing
-        // it here too would walk every chain page twice per recovery.
-        self.load_all_skeletons()?;
-        self.discard_events();
-        Ok((applied, skipped))
-    }
-
     fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
         crate::redo::run(self, window, plan)
-    }
-
-    fn finish_redo(&self) -> Result<()> {
-        // Parallel data redo partitions by PID: a key that moved pages in
-        // history has its delete and its re-insert applied by *different*
-        // workers in no defined relative order, so the incremental index
-        // maintenance in `apply_data` can finish with a stale or missing
-        // entry even though the pages themselves (pLSN-guarded,
-        // partition-exclusive) are exact. Rebuild the volatile index from
-        // the now-final chains.
-        self.rebuild_all_maps()
     }
 
     fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
@@ -967,17 +897,6 @@ impl DcApi for HashDc {
         Ok(Located { pid, levels: 0, stall_us: info.stall_us })
     }
 
-    fn preload_index(&self) -> Result<PreloadStats> {
-        // The only durable index structure is the per-table directory.
-        let mut out = PreloadStats::default();
-        for table in self.tables() {
-            let dir = self.table_root(table)?;
-            self.pool.fetch(dir)?;
-            out.pages_loaded += 1;
-        }
-        Ok(out)
-    }
-
     fn set_trace(&self, sink: lr_obs::TraceSink) {
         self.pool.set_trace(sink);
     }
@@ -988,6 +907,14 @@ impl DcApi for HashDc {
 }
 
 impl RedoBackend for HashDc {
+    fn catalog(&self) -> &Mutex<Catalog> {
+        &self.catalog
+    }
+
+    fn attach_placement(&self) -> Result<()> {
+        self.load_all_skeletons()
+    }
+
     fn resolve_redo_pid(&self, _table: TableId, _key: Key, logged_pid: PageId) -> Result<Located> {
         // Page-logical redo: replay exactly where history applied the
         // operation. No traversal, no index dependency — the volatile
@@ -1008,6 +935,17 @@ impl RedoBackend for HashDc {
         // Hash SMOs never move a catalog anchor.
         debug_assert!(smo.new_root.is_none());
         Ok(None)
+    }
+
+    fn finish_redo(&self) -> Result<()> {
+        // Parallel data redo partitions by PID: a key that moved pages in
+        // history has its delete and its re-insert applied by *different*
+        // workers in no defined relative order, so the incremental index
+        // maintenance in `apply_data` can finish with a stale or missing
+        // entry even though the pages themselves (pLSN-guarded,
+        // partition-exclusive) are exact. Rebuild the volatile index from
+        // the now-final chains.
+        self.rebuild_all_maps()
     }
 }
 

@@ -14,14 +14,16 @@
 //!   analysis pass (Alg. 3), the logical Δ-based pass (Alg. 4), ARIES
 //!   checkpoint-seeded construction (§3.1), and the Appendix-D alternatives
 //!   (perfect DPT, reduced logging);
-//! * [`recovery`] is **DC recovery**'s SMO redo (making B-trees
-//!   well-formed *before* the TC resubmits operations, §1.2) and the
-//!   screened SMO replay of physiological redo;
-//! * [`redo`] is the redo pass itself, run next to the pages: the TC
-//!   ships the scan window and its analysis's [`RedoPlan`] through
-//!   [`DcApi::redo`] — one crossing, however remote the DC — and every
-//!   backend runs the same screen loop, prefetchers, inline sink and
-//!   partitioned workers against its own pool;
+//! * [`recovery`] holds the SMO page-image install kernels: the plain
+//!   pLSN-guarded one SMO redo uses (making B-trees well-formed *before*
+//!   the TC resubmits operations, §1.2) and the screened one of
+//!   physiological redo;
+//! * [`redo`] is **DC recovery** itself, run next to the pages: the TC
+//!   ships the scan window and its method row plus analysis as a
+//!   [`RedoPlan`] through [`DcApi::redo`] — one crossing, however remote
+//!   the DC — and every backend runs the same SMO redo, index preload,
+//!   screen loop, prefetchers, sinks, partitioned workers and post-redo
+//!   index rebuild against its own pool;
 //! * [`DataComponent`] wires it together and services the TC's data
 //!   operations plus the EOSL / RSSP control operations (§4.1).
 
@@ -42,9 +44,7 @@ pub mod telemetry;
 pub mod trackers;
 pub mod wire;
 
-pub use api::{
-    DcApi, DcIntrospect, Located, OpGuard, PreloadStats, PreparedOp, TableGuard, TableSummary,
-};
+pub use api::{DcApi, DcIntrospect, Located, OpGuard, PreparedOp, TableGuard, TableSummary};
 pub use backend::{
     backend, backend_names, backends, Backend, BTREE_BACKEND, HASH_BACKEND, LOG_BACKEND,
     REMOTE_BTREE_BACKEND, REMOTE_HASH_BACKEND, REMOTE_LOG_BACKEND, TCP_BTREE_BACKEND,
@@ -59,7 +59,6 @@ pub use dc::{DataComponent, DcConfig, PrepareInfo, WriteIntent};
 pub use dpt::{Dpt, DptEntry, DptScreen};
 pub use hash::HashDc;
 pub use logdc::LogDc;
-pub use recovery::smo_redo;
 pub use redo::{Family, Prefetch, RedoPlan};
 pub use remote::{remote_loopback, LoopbackTransport, RemoteDc, Transport};
 pub use server::DcServer;

@@ -31,8 +31,9 @@
 //! the record's page, so parallel redo routes every version of a key to
 //! the same partition in LSN order. Stub pLSNs stay NULL forever — the
 //! pLSN redo screen passes trivially, and methods whose DPT screens skip
-//! these never-dirty pages are still correct because recovery's
-//! [`DcApi::finish_redo`] rebuilds the index **authoritatively**:
+//! these never-dirty pages are still correct because DC recovery's
+//! post-redo index rebuild (`RedoBackend::finish_redo`, the last phase of
+//! [`DcApi::redo`]) rebuilds the index **authoritatively**:
 //! manifest + sealed chain first, then one scan of the log suffix from
 //! the oldest horizon (recovery is pure re-indexing).
 //!
@@ -46,9 +47,7 @@
 //! pages in place. The compactor takes the exclusive table latch for
 //! each table's pass, so it can never race a writer into a lost update.
 
-use crate::api::{
-    DcApi, DcIntrospect, Located, PreloadStats, PreparedOp, TableGuard, TableSummary,
-};
+use crate::api::{DcApi, DcIntrospect, Located, PreparedOp, TableGuard, TableSummary};
 use crate::catalog::{Catalog, META_PAGE};
 use crate::dc::{DcConfig, DcCounters, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
@@ -353,6 +352,28 @@ pub fn log_bulk_load(
 }
 
 impl LogDc {
+    /// Is the cache dirtier than the lazywriter watermark right now?
+    fn over_dirty_watermark(&self) -> bool {
+        let watermark = (self.cfg.dirty_watermark * self.pool.capacity() as f64) as usize;
+        self.pool.dirty_count() > watermark
+    }
+
+    /// Is the cold log region's garbage ratio over the compaction
+    /// watermark right now?
+    fn over_garbage_watermark(&self) -> bool {
+        let cold_end = self.cold_end();
+        let horizon = self.min_horizon();
+        if cold_end <= horizon {
+            return false;
+        }
+        let region = cold_end.0 - horizon.0;
+        let cold_seg = self.seg_of(cold_end);
+        let live: u64 =
+            self.seg_live.lock().iter().filter(|(s, _)| **s < cold_seg).map(|(_, v)| *v).sum();
+        let garbage = region.saturating_sub(live.min(region));
+        garbage as f64 / region as f64 > self.cfg.garbage_watermark
+    }
+
     /// Open a log-structured DC over a formatted disk. Cold by design,
     /// like the other backends: the key index is built by
     /// `register_table` (bulk-load registration) or recovery's
@@ -875,11 +896,6 @@ impl DcApi for LogDc {
         self.read_cache.clear();
     }
 
-    fn reload_catalog(&self) -> Result<()> {
-        *self.catalog.lock() = Catalog::load(&self.pool)?;
-        self.load_all_skeletons()
-    }
-
     fn pump_events(&self) {
         if self.cfg.inline_cleaner && self.over_dirty_watermark() {
             let _ = self.pool.clean_coldest(self.cfg.cleaner_batch);
@@ -897,10 +913,6 @@ impl DcApi for LogDc {
         self.trackers.force_emit(&self.pool, &self.wal, &self.stats);
     }
 
-    fn discard_events(&self) {
-        self.pool.take_events();
-    }
-
     fn cleaner_pass(&self) -> Result<usize> {
         if !self.over_dirty_watermark() {
             return Ok(0);
@@ -916,17 +928,12 @@ impl DcApi for LogDc {
         Ok(flushed)
     }
 
-    fn over_dirty_watermark(&self) -> bool {
-        let watermark = (self.cfg.dirty_watermark * self.pool.capacity() as f64) as usize;
-        self.pool.dirty_count() > watermark
-    }
-
     fn compact_pass(&self) -> Result<usize> {
         if !self.over_garbage_watermark() {
             return Ok(0);
         }
         let cold_end = self.cold_end();
-        let tables: Vec<TableId> = self.tables();
+        let tables: Vec<TableId> = self.catalog.lock().tables().map(|(t, _)| t).collect();
         let mut segments = 0u64;
         for table in tables {
             segments += self.compact_table(table, cold_end)?;
@@ -936,20 +943,6 @@ impl DcApi for LogDc {
         }
         self.pump_events();
         Ok(segments as usize)
-    }
-
-    fn over_garbage_watermark(&self) -> bool {
-        let cold_end = self.cold_end();
-        let horizon = self.min_horizon();
-        if cold_end <= horizon {
-            return false;
-        }
-        let region = cold_end.0 - horizon.0;
-        let cold_seg = self.seg_of(cold_end);
-        let live: u64 =
-            self.seg_live.lock().iter().filter(|(s, _)| **s < cold_seg).map(|(_, v)| *v).sum();
-        let garbage = region.saturating_sub(live.min(region));
-        garbage as f64 / region as f64 > self.cfg.garbage_watermark
     }
 
     fn create_table(&self, table: TableId) -> Result<()> {
@@ -989,26 +982,6 @@ impl DcApi for LogDc {
 
     fn table_root(&self, table: TableId) -> Result<PageId> {
         self.catalog.lock().root_of(table)
-    }
-
-    fn set_root(&self, table: TableId, root: PageId) {
-        self.catalog.lock().set_root(table, root);
-        match self.load_sealed_state(table, root) {
-            Ok(ts) => {
-                self.tables.write().insert(table, ts);
-            }
-            Err(_) => {
-                self.tables.write().remove(&table);
-            }
-        }
-    }
-
-    fn save_catalog(&self, lsn: Lsn) -> Result<()> {
-        self.catalog.lock().save(&self.pool, lsn)
-    }
-
-    fn tables(&self) -> Vec<TableId> {
-        self.catalog.lock().tables().map(|(t, _)| t).collect()
     }
 
     fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_> {
@@ -1074,30 +1047,8 @@ impl DcApi for LogDc {
         Ok(summary)
     }
 
-    fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)> {
-        *self.catalog.lock() = Catalog::load(&self.pool)?;
-        let mut applied = 0;
-        let mut skipped = 0;
-        for rec in window {
-            if let LogPayload::Smo(smo) = &rec.payload {
-                let (a, s) = crate::recovery::plsn_smo_install(&self.pool, rec.lsn, &smo.pages)?;
-                applied += a;
-                skipped += s;
-            }
-        }
-        // Manifests are now current; skeletons are all redo needs (it
-        // replays at logged stub PIDs, never consulting the index).
-        self.load_all_skeletons()?;
-        self.discard_events();
-        Ok((applied, skipped))
-    }
-
     fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
         crate::redo::run(self, window, plan)
-    }
-
-    fn finish_redo(&self) -> Result<()> {
-        self.rebuild_all_maps()
     }
 
     fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
@@ -1110,17 +1061,6 @@ impl DcApi for LogDc {
         Ok(Located { pid: stub, levels: 0, stall_us: info.stall_us })
     }
 
-    fn preload_index(&self) -> Result<PreloadStats> {
-        // The only durable index structure is the per-table manifest.
-        let mut out = PreloadStats::default();
-        for table in self.tables() {
-            let anchor = self.table_root(table)?;
-            self.pool.fetch(anchor)?;
-            out.pages_loaded += 1;
-        }
-        Ok(out)
-    }
-
     fn set_trace(&self, sink: lr_obs::TraceSink) {
         self.pool.set_trace(sink);
     }
@@ -1131,6 +1071,14 @@ impl DcApi for LogDc {
 }
 
 impl RedoBackend for LogDc {
+    fn catalog(&self) -> &Mutex<Catalog> {
+        &self.catalog
+    }
+
+    fn attach_placement(&self) -> Result<()> {
+        self.load_all_skeletons()
+    }
+
     fn resolve_redo_pid(&self, _table: TableId, _key: Key, logged_pid: PageId) -> Result<Located> {
         // Routing-logical redo: the logged PID is the key's stub, so
         // replaying "there" partitions by key shard with no traversal.
@@ -1161,6 +1109,10 @@ impl RedoBackend for LogDc {
         // Compaction never moves a catalog anchor.
         debug_assert!(smo.new_root.is_none());
         Ok(None)
+    }
+
+    fn finish_redo(&self) -> Result<()> {
+        self.rebuild_all_maps()
     }
 }
 

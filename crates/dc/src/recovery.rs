@@ -1,32 +1,23 @@
-//! DC recovery: the pass that runs **before** the TC resubmits anything.
+//! The SMO page-image install kernels of DC recovery.
 //!
-//! Two jobs (§4.2, Figure 1 part B):
-//!
-//! 1. **SMO redo** — replay structure-modification system transactions so
-//!    every B-tree is well-formed. Without this, logical redo could not
-//!    even locate its target pages (§1.2). Physiological redo runs the
-//!    screened replay below instead, inside its own pass.
-//! 2. **DPT construction** — Algorithm 4 (or an Appendix-D variant) over
-//!    the Δ-log records, producing the DPT, the tail boundary (`last Δ
-//!    TC-LSN`) and the PF-list: [`crate::builders::build_dpt_logical`],
-//!    which the recovery driver's analysis phase calls.
-//!
-//! The caller supplies the decoded scan window (records from the redo scan
-//! start point), which comes out of the log's one restart pass
-//! ([`lr_wal::Wal::restart`]); log-page I/O for the scan is charged by the
-//! recovery driver.
+//! DC recovery ([`crate::redo`], behind [`crate::DcApi::redo`]) runs
+//! **before** the TC resubmits anything (§4.2, Figure 1 part B): SMO redo
+//! replays structure-modification system transactions so every B-tree is
+//! well-formed — without this, logical redo could not even locate its
+//! target pages (§1.2) — and physiological redo replays the same records
+//! inside its own pass under the full redo screen. Both install whole page
+//! images through the two kernels here, so a screen fix can never apply
+//! to one backend and miss another.
 
 use crate::dc::DataComponent;
 use crate::dpt::Dpt;
 use lr_common::{Lsn, PageId, Result};
 use lr_storage::Page;
-use lr_wal::{LogPayload, LogRecord};
 
 /// Install SMO page images under the plain pLSN guard (no DPT screen —
-/// the DC-recovery setting, where no DPT exists yet). The one
-/// image-install kernel both backends' `smo_redo` use. Returns
-/// `(pages applied, pages skipped)`.
-pub fn plsn_smo_install(
+/// the SMO-redo setting, where no DPT exists yet). Returns `(pages
+/// applied, pages skipped)`.
+pub(crate) fn plsn_smo_install(
     pool: &lr_buffer::BufferPool,
     lsn: Lsn,
     pages: &[(PageId, Vec<u8>)],
@@ -85,43 +76,6 @@ pub(crate) fn screened_smo_install(
     Ok(installed)
 }
 
-/// SMO redo alone: reload the catalog from the stable meta page, replay
-/// structure-modification system transactions (pLSN-guarded), and persist
-/// any root moves. Returns `(pages applied, pages skipped)`.
-///
-/// This is the DC pass that even unoptimized logical recovery (Log0) must
-/// run — the index has to be well-formed before any logical redo (§1.2).
-pub fn smo_redo(dc: &DataComponent, window: &[LogRecord]) -> Result<(u64, u64)> {
-    // The crash wiped the in-memory catalog; restart from the stable meta
-    // page. SMO redo below re-applies any root moves it missed.
-    dc.reload_catalog()?;
-
-    let mut smo_pages_applied = 0u64;
-    let mut smo_pages_skipped = 0u64;
-    let mut last_root_lsn = Lsn::NULL;
-    let mut any_root_change = false;
-    for rec in window {
-        if let LogPayload::Smo(smo) = &rec.payload {
-            let (a, s) = plsn_smo_install(dc.pool(), rec.lsn, &smo.pages)?;
-            smo_pages_applied += a;
-            smo_pages_skipped += s;
-            if let Some((table, root)) = smo.new_root {
-                dc.set_root(table, root);
-                any_root_change = true;
-                last_root_lsn = rec.lsn;
-            }
-        }
-    }
-    if any_root_change {
-        dc.save_catalog(last_root_lsn)?;
-    }
-    // Recovery-time dirtying is not workload monitoring: the engine takes a
-    // checkpoint at the end of recovery, which flushes these pages, so the
-    // next crash's Δ/BW stream starts from a clean slate.
-    dc.discard_events();
-    Ok((smo_pages_applied, smo_pages_skipped))
-}
-
 /// Work counters of screened SMO replay (physiological redo). Field names
 /// mirror the `RecoveryBreakdown` counters the caller folds them into.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -158,9 +112,10 @@ pub(crate) fn replay_smo_screened(
 mod tests {
     use super::*;
     use crate::dc::DcConfig;
+    use crate::redo::RedoBackend;
     use lr_common::{IoModel, SimClock, TableId};
     use lr_storage::SimDisk;
-    use lr_wal::Wal;
+    use lr_wal::{LogPayload, LogRecord, Wal};
 
     /// Build a DC with one empty table and a shared log.
     fn setup() -> DataComponent {
@@ -209,7 +164,7 @@ mod tests {
         // Crash: cache gone, stable pages pre-date some SMOs (nothing was
         // ever flushed except the meta page at registration).
         dc.crash();
-        let (applied, _) = smo_redo(&dc, &records).unwrap();
+        let (applied, _) = dc.smo_redo(&records).unwrap();
         assert!(applied > 0);
         assert_eq!(dc.table_root(TableId(1)).unwrap(), root_before, "root recovered");
         let tree = dc.tree(TableId(1)).unwrap().clone();
@@ -220,7 +175,7 @@ mod tests {
         // test sees the installed state on stable storage.
         dc.pool().flush_all().unwrap();
         dc.crash();
-        let (applied2, skipped2) = smo_redo(&dc, &records).unwrap();
+        let (applied2, skipped2) = dc.smo_redo(&records).unwrap();
         assert_eq!(applied2, 0, "idempotent: images already installed");
         assert!(skipped2 >= applied);
     }

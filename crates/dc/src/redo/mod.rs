@@ -1,11 +1,16 @@
-//! Redo, run where the pages are: one screen loop feeding one of two
-//! sinks, the prefetchers, and the partitioned worker pipeline.
+//! DC recovery, run where the pages are: SMO redo (or the catalog
+//! reload), index preload, one screen loop feeding one of two sinks, the
+//! prefetchers, the partitioned worker pipeline, and the post-redo index
+//! rebuild.
 //!
-//! [`crate::DcApi::redo`] is every recovery method's redo pass, executed
-//! by the backend against its own pool. The TC ships the scan window and
-//! a [`RedoPlan`] — what its analysis pass decided — and gets back the
-//! pass's breakdown shard ([`RecoveryBreakdown::redo_shard_mut`]), the
-//! page-fetch and stall counters included. Over a message boundary that is
+//! [`crate::DcApi::redo`] is every recovery method's whole DC-side pass,
+//! executed by the backend against its own pool. The TC ships the scan
+//! window and a [`RedoPlan`] — its method row plus what its analysis pass
+//! decided — and gets back the pass's breakdown shard
+//! ([`RecoveryBreakdown::redo_shard_mut`]): every phase's µs, the
+//! page-fetch and stall counters, the SMO and preload counts. The phases
+//! journal their own `SmoRedo` / `IndexPreload` / `Redo` / `IndexRebuild`
+//! spans through the pool's trace sink. Over a message boundary that is
 //! one `Redo` crossing per recovery: [`crate::RemoteDc`] sends the frame,
 //! [`crate::DcServer`] runs this module next to the pages.
 //!
@@ -25,12 +30,14 @@ mod partitioned;
 mod prefetch;
 
 use crate::api::{DcApi, Located};
+use crate::catalog::Catalog;
 use crate::dpt::{Dpt, DptScreen};
-use crate::recovery::SmoBarrierOutcome;
+use crate::recovery::{plsn_smo_install, SmoBarrierOutcome};
 use lr_buffer::BufferPool;
 use lr_common::{IoModel, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId};
 use lr_obs::{EventKind, RecoveryPhase, TraceSink};
 use lr_wal::{LogPayload, LogRecord, SmoRecord};
+use parking_lot::Mutex;
 use prefetch::{LogDrivenPrefetcher, PfListPrefetcher};
 
 /// Records to look ahead in log-driven prefetch (SQL2).
@@ -42,7 +49,7 @@ const LIST_AHEAD_PAGES: u64 = 64;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// Algorithms 2 and 5: by key through the index (the logged PID is
-    /// advisory); DC recovery replayed the SMOs beforehand.
+    /// advisory); SMO redo runs first, so the index is well-formed.
     Logical,
     /// Algorithm 1: the logged PID; redo itself replays SMO records.
     Physiological,
@@ -60,13 +67,16 @@ pub enum Prefetch {
     LogDriven,
 }
 
-/// What the TC's analysis pass hands redo: the method's family and
-/// read-ahead, the DPT, the tail boundary, the PF-list and the worker
+/// What the TC hands DC recovery: the method's family, read-ahead and
+/// preload choice, and what its analysis pass decided — the DPT, the tail
+/// boundary, the PF-list — plus the window's log pages and the worker
 /// count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RedoPlan {
     pub family: Family,
     pub prefetch: Prefetch,
+    /// Load every index page before redo (Appendix A.1).
+    pub preload: bool,
     /// `None` for Log0: every data record reaches its page's pLSN test.
     pub dpt: Option<Dpt>,
     /// Records at or past this LSN are the tail of the log (§4.3): the
@@ -75,14 +85,36 @@ pub struct RedoPlan {
     pub tail_from: Lsn,
     /// The PF-list (Appendix A.2), for Δ-built DPTs.
     pub pf_list: Vec<PageId>,
+    /// Log pages the window spans: redo re-reads them sequentially.
+    pub log_pages: u64,
     /// 1 runs the inline sink; more, the SMO barrier and that many
     /// partitioned workers.
     pub workers: usize,
 }
 
-/// What redo needs from a local backend beyond the contract. Only this
-/// module calls these, so they never cross a message boundary.
+/// What an index-preload pass did (Appendix A.1).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PreloadStats {
+    /// Index pages now resident.
+    pub pages_loaded: u64,
+    /// Prefetch I/Os issued while loading.
+    pub prefetch_ios: u64,
+    /// Pages those I/Os covered.
+    pub prefetch_pages: u64,
+}
+
+/// What DC recovery needs from a local backend beyond the contract. Only
+/// this module calls these, so they never cross a message boundary.
 pub(crate) trait RedoBackend: DcApi {
+    /// The in-memory catalog: table → placement anchor.
+    fn catalog(&self) -> &Mutex<Catalog>;
+
+    /// Rebuild the placement structure redo resolves through from the
+    /// catalog: the B-tree handles, or a page-logical backend's skeletons
+    /// (bucket heads, stubs — no key index; [`RedoBackend::finish_redo`]
+    /// rebuilds that).
+    fn attach_placement(&self) -> Result<()>;
+
     /// Resolve a data record to the page redo must test: by key traversal
     /// for a logical backend (the logged PID is advisory), by the logged
     /// PID for a page-logical backend.
@@ -100,41 +132,213 @@ pub(crate) trait RedoBackend: DcApi {
         dpt: &Dpt,
         out: &mut SmoBarrierOutcome,
     ) -> Result<Option<Lsn>>;
+
+    /// Called once after **every** data-redo pass, before undo. Redo is
+    /// exact at the page level, but volatile per-*key* state cannot be
+    /// maintained soundly during it: pLSN-skipped records never run their
+    /// index maintenance, and partitioned workers apply a moved key's
+    /// delete and re-insert in no defined relative order. A backend
+    /// keeping such state restores it from the (final, pLSN-guarded) pages
+    /// here. Default: no-op — the B-tree derives placement from the pages
+    /// themselves.
+    fn finish_redo(&self) -> Result<()> {
+        Ok(())
+    }
+
+    /// Reload the catalog from stable pages and attach placement to it —
+    /// a physiological method's whole structure recovery (its redo
+    /// replays the SMOs itself).
+    fn reload_catalog(&self) -> Result<()> {
+        *self.catalog().lock() = Catalog::load(self.pool())?;
+        self.attach_placement()
+    }
+
+    /// Persist the catalog under `lsn`.
+    fn save_catalog(&self, lsn: Lsn) -> Result<()> {
+        self.catalog().lock().save(self.pool(), lsn)
+    }
+
+    /// SMO redo (§1.2, §4.2): reload the catalog from the stable meta page,
+    /// install every SMO page image in `window` under the plain pLSN guard
+    /// (no DPT exists at this point), persist any root moves, then attach
+    /// placement to the now well-formed structure. Returns `(pages
+    /// applied, pages skipped)`. Even unoptimized logical recovery (Log0)
+    /// runs this: the index must be well-formed before any record is
+    /// located by key.
+    fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)> {
+        let pool = self.pool();
+        let mut catalog = Catalog::load(pool)?;
+        let (mut applied, mut skipped, mut root_moved) = (0, 0, None);
+        for rec in window {
+            let LogPayload::Smo(smo) = &rec.payload else { continue };
+            let (a, s) = plsn_smo_install(pool, rec.lsn, &smo.pages)?;
+            applied += a;
+            skipped += s;
+            if let Some((table, root)) = smo.new_root {
+                catalog.set_root(table, root);
+                root_moved = Some(rec.lsn);
+            }
+        }
+        if let Some(lsn) = root_moved {
+            catalog.save(pool, lsn)?;
+        }
+        *self.catalog().lock() = catalog;
+        self.attach_placement()?;
+        // Recovery-time dirtying is not workload monitoring: the engine
+        // takes a checkpoint at the end of recovery, which flushes these
+        // pages, so the next crash's Δ/BW stream starts from a clean slate.
+        pool.take_events();
+        Ok((applied, skipped))
+    }
+
+    /// Appendix A.1's index preload: load every table's index pages into
+    /// the cache level by level from its anchor, prefetching each level
+    /// as a batch so reads overlap. A hash directory or log manifest is a
+    /// one-level index: its anchor alone.
+    fn preload_index(&self) -> Result<PreloadStats> {
+        let pool = self.pool();
+        let roots: Vec<PageId> = self.catalog().lock().tables().map(|(_, root)| root).collect();
+        let mut out = PreloadStats::default();
+        for root in roots {
+            let mut frontier = vec![root];
+            loop {
+                let mut children: Vec<PageId> = Vec::new();
+                for pid in &frontier {
+                    pool.fetch(*pid)?;
+                    let (is_internal, level, kids) = pool.with_page(*pid, |p| {
+                        if p.page_type() == lr_storage::PageType::Internal {
+                            let kids: Vec<PageId> = (0..p.slot_count())
+                                .map(|s| lr_btree::parse_internal_entry(p.record(s)).1)
+                                .collect();
+                            (true, p.level(), kids)
+                        } else {
+                            (false, 0, Vec::new())
+                        }
+                    })?;
+                    if is_internal {
+                        out.pages_loaded += 1;
+                        if level >= 2 {
+                            children.extend(kids);
+                        }
+                    }
+                }
+                if children.is_empty() {
+                    break;
+                }
+                let (ios, pages) = pool.prefetch(&children);
+                out.prefetch_ios += ios as u64;
+                out.prefetch_pages += pages as u64;
+                frontier = children;
+            }
+        }
+        Ok(out)
+    }
 }
 
-/// Run `plan` over `window` against `dc`'s own pool and return the redo
-/// shard. On one worker the screen feeds the inline sink; on more the SMO
-/// barrier (physiological family) runs first, then the partitioned
-/// pipeline.
+/// Run DC recovery's whole pass — structure recovery, preload, redo over
+/// `window` per `plan`, the index rebuild — against `dc`'s own pool and
+/// return its breakdown shard. On one worker the screen feeds the inline
+/// sink; on more the SMO barrier (physiological family) runs first, then
+/// the partitioned pipeline.
 pub(crate) fn run(
     dc: &dyn RedoBackend,
     window: &[LogRecord],
     plan: &RedoPlan,
 ) -> Result<RecoveryBreakdown> {
-    let before = dc.pool().stats();
+    let pool = dc.pool();
     let mut bk = RecoveryBreakdown::default();
+    match plan.family {
+        Family::Logical => {
+            let ((applied, skipped), us) =
+                span(pool, RecoveryPhase::SmoRedo, || dc.smo_redo(window))?;
+            (bk.smo_pages_applied, bk.smo_pages_skipped, bk.smo_redo_us) = (applied, skipped, us);
+        }
+        // The catalog is all a physiological redo needs first (it replays
+        // SMOs itself); reading it counts as analysis time.
+        Family::Physiological => {
+            let t0 = pool.disk().now_us();
+            dc.reload_catalog()?;
+            bk.analysis_us = pool.disk().now_us() - t0;
+        }
+    }
+    if plan.preload {
+        let (pl, us) = span(pool, RecoveryPhase::IndexPreload, || dc.preload_index())?;
+        bk.index_pages_loaded = pl.pages_loaded;
+        bk.prefetch_ios += pl.prefetch_ios;
+        bk.prefetch_pages += pl.prefetch_pages;
+        bk.index_preload_us = us;
+    }
+    bk.log_pages_read = plan.log_pages;
+    if plan.workers <= 1 {
+        let (_, us) = span(pool, RecoveryPhase::Redo, || redo(dc, window, plan, &mut bk))?;
+        bk.redo_us = us;
+    } else {
+        redo(dc, window, plan, &mut bk)?;
+    }
+    // Redo is exact at the page level; a backend's volatile per-key state
+    // is restored from the now-final pages before undo re-locates by key.
+    bk.index_rebuild_us = span(pool, RecoveryPhase::IndexRebuild, || dc.finish_redo())?.1;
+    Ok(bk)
+}
+
+/// The redo pass proper: re-read the window's log pages, then screen and
+/// apply it, counting the pages it fetched and the stalls it met.
+fn redo(
+    dc: &dyn RedoBackend,
+    window: &[LogRecord],
+    plan: &RedoPlan,
+    bk: &mut RecoveryBreakdown,
+) -> Result<()> {
+    let pool = dc.pool();
+    let model = {
+        let mut disk = pool.disk_mut();
+        for _ in 0..plan.log_pages {
+            disk.charge_log_page_read();
+        }
+        disk.io_model()
+    };
+    let before = pool.stats();
     let screen = Screen::new(plan);
     if plan.workers <= 1 {
-        redo_inline(dc, window, screen, &mut bk)?;
+        redo_inline(dc, window, screen, bk)?;
     } else {
         if let (Family::Physiological, Some(dpt)) = (plan.family, &plan.dpt) {
-            bk.smo_redo_us = smo_barrier(dc, window, dpt, &mut bk)?;
+            bk.smo_redo_us = smo_barrier(dc, window, dpt, bk)?;
         }
-        partitioned::run(dc, window, screen, plan.workers, &mut bk)?;
+        partitioned::run(dc, window, screen, plan.workers, bk)?;
+        // The dispatcher's log re-scan rides the sequential-read model,
+        // like the serial pass's window re-read.
+        bk.partition_us += plan.log_pages * model.log_page_read_us;
     }
-    let after = dc.pool().stats();
+    let after = pool.stats();
     bk.data_pages_fetched = after.data_page_misses - before.data_page_misses;
     bk.index_pages_fetched = after.index_page_misses - before.index_page_misses;
     bk.data_stall_events = after.data_stall_events - before.data_stall_events;
     bk.data_stall_us = after.data_stall_us - before.data_stall_us;
     bk.index_stall_events = after.index_stall_events - before.index_stall_events;
     bk.index_stall_us = after.index_stall_us - before.index_stall_us;
-    Ok(bk)
+    Ok(())
 }
 
 /// The pool's journal, or the no-op sink.
 fn trace_of(pool: &BufferPool) -> TraceSink {
     pool.trace().cloned().unwrap_or_else(TraceSink::disabled)
+}
+
+/// Run one DC recovery phase between its journal span events (worker 0).
+/// Returns `run`'s result and the phase's elapsed SimClock µs.
+fn span<R>(
+    pool: &BufferPool,
+    phase: RecoveryPhase,
+    run: impl FnOnce() -> Result<R>,
+) -> Result<(R, u64)> {
+    let trace = trace_of(pool);
+    let t0 = pool.disk().now_us();
+    trace.emit(EventKind::RecoveryPhaseStart { phase, worker: 0 });
+    let out = run()?;
+    let busy_us = pool.disk().now_us() - t0;
+    trace.emit(EventKind::RecoveryPhaseEnd { phase, worker: 0, busy_us });
+    Ok((out, busy_us))
 }
 
 /// Where redo's simulated cost lands.
@@ -391,16 +595,12 @@ fn smo_barrier(
     dpt: &Dpt,
     bk: &mut RecoveryBreakdown,
 ) -> Result<u64> {
-    let (phase, worker) = (RecoveryPhase::SmoRedo, 0);
-    let trace = trace_of(dc.pool());
-    let t0 = dc.pool().disk().now_us();
-    trace.emit(EventKind::RecoveryPhaseStart { phase, worker });
-    let mut sink = InlineSink::new(dc, window);
-    for rec in window {
-        sink.smo(rec, dpt, bk)?;
-    }
-    sink.finish()?;
-    let busy_us = dc.pool().disk().now_us() - t0;
-    trace.emit(EventKind::RecoveryPhaseEnd { phase, worker, busy_us });
-    Ok(busy_us)
+    let replay = || {
+        let mut sink = InlineSink::new(dc, window);
+        for rec in window {
+            sink.smo(rec, dpt, bk)?;
+        }
+        sink.finish()
+    };
+    Ok(span(dc.pool(), RecoveryPhase::SmoRedo, replay)?.1)
 }

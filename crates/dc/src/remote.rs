@@ -29,9 +29,7 @@
 //! disconnect cleanup has already freed the server-side guard, so there
 //! is nothing left to release.
 
-use crate::api::{
-    DcApi, DcIntrospect, Located, OpGuard, PreloadStats, PreparedOp, TableGuard, TableSummary,
-};
+use crate::api::{DcApi, DcIntrospect, Located, OpGuard, PreparedOp, TableGuard, TableSummary};
 use crate::dc::{DcConfig, DcStats, PrepareInfo, WriteIntent};
 use crate::redo::RedoPlan;
 use crate::server::{envelope, open_envelope, wire_error, DcServer};
@@ -42,7 +40,7 @@ use lr_common::codec::{frame, unframe};
 use lr_common::{Error, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId, Value};
 use lr_obs::{EventKind, TraceSink};
 use lr_storage::Disk;
-use lr_wal::{LogPayload, LogRecord, SharedWal};
+use lr_wal::{LogRecord, SharedWal};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -433,23 +431,12 @@ impl DcApi for RemoteDc {
         self.call_unit(DcRequest::Crash);
     }
 
-    fn reload_catalog(&self) -> Result<()> {
-        match self.call(DcRequest::ReloadCatalog)? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("reload_catalog", other)),
-        }
-    }
-
     fn pump_events(&self) {
         self.call_unit(DcRequest::PumpEvents);
     }
 
     fn force_emit(&self) {
         self.call_unit(DcRequest::ForceEmit);
-    }
-
-    fn discard_events(&self) {
-        self.call_unit(DcRequest::DiscardEvents);
     }
 
     fn cleaner_pass(&self) -> Result<usize> {
@@ -459,19 +446,11 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn over_dirty_watermark(&self) -> bool {
-        matches!(self.call(DcRequest::OverDirtyWatermark), Ok(DcReply::Flag(true)))
-    }
-
     fn compact_pass(&self) -> Result<usize> {
         match self.call(DcRequest::CompactPass)? {
             DcReply::Count(c) => Ok(c as usize),
             other => Err(Self::protocol("compact_pass", other)),
         }
-    }
-
-    fn over_garbage_watermark(&self) -> bool {
-        matches!(self.call(DcRequest::OverGarbageWatermark), Ok(DcReply::Flag(true)))
     }
 
     fn create_table(&self, table: TableId) -> Result<()> {
@@ -495,24 +474,6 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn set_root(&self, table: TableId, root: PageId) {
-        self.call_unit(DcRequest::SetRoot { table, root });
-    }
-
-    fn save_catalog(&self, lsn: Lsn) -> Result<()> {
-        match self.call(DcRequest::SaveCatalog { lsn })? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("save_catalog", other)),
-        }
-    }
-
-    fn tables(&self) -> Vec<TableId> {
-        match self.call(DcRequest::Tables) {
-            Ok(DcReply::TableIds(ts)) => ts,
-            _ => Vec::new(),
-        }
-    }
-
     fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_> {
         // The trait has no error channel here; a dead transport is a
         // deployment failure, not a recoverable condition for a caller
@@ -533,18 +494,6 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)> {
-        // Every backend's SMO redo reads the window's SMO records and
-        // nothing else, so only those cross (a whole redo window can
-        // outgrow the frame cap; its SMO records are a sliver of it).
-        let window =
-            window.iter().filter(|r| matches!(r.payload, LogPayload::Smo(_))).cloned().collect();
-        match self.call(DcRequest::SmoRedo { window })? {
-            DcReply::Pair(applied, skipped) => Ok((applied, skipped)),
-            other => Err(Self::protocol("smo_redo", other)),
-        }
-    }
-
     fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
         // The whole pass runs server-side, next to the pages: one frame
         // carries the window and the plan, one reply the redo shard.
@@ -558,22 +507,6 @@ impl DcApi for RemoteDc {
         match self.call(DcRequest::LocateKey { table, key })? {
             DcReply::LocatedAt { pid, levels, stall_us } => Ok(Located { pid, levels, stall_us }),
             other => Err(Self::protocol("locate_key", other)),
-        }
-    }
-
-    fn preload_index(&self) -> Result<PreloadStats> {
-        match self.call(DcRequest::PreloadIndex)? {
-            DcReply::Preload { pages_loaded, prefetch_ios, prefetch_pages } => {
-                Ok(PreloadStats { pages_loaded, prefetch_ios, prefetch_pages })
-            }
-            other => Err(Self::protocol("preload_index", other)),
-        }
-    }
-
-    fn finish_redo(&self) -> Result<()> {
-        match self.call(DcRequest::FinishRedo)? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("finish_redo", other)),
         }
     }
 

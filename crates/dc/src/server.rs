@@ -290,10 +290,6 @@ impl DcServer {
                 dc.crash();
                 DcReply::Unit
             }
-            DcRequest::ReloadCatalog => {
-                dc.reload_catalog()?;
-                DcReply::Unit
-            }
             DcRequest::PumpEvents => {
                 dc.pump_events();
                 DcReply::Unit
@@ -302,14 +298,8 @@ impl DcServer {
                 dc.force_emit();
                 DcReply::Unit
             }
-            DcRequest::DiscardEvents => {
-                dc.discard_events();
-                DcReply::Unit
-            }
             DcRequest::CleanerPass => DcReply::Count(dc.cleaner_pass()? as u64),
-            DcRequest::OverDirtyWatermark => DcReply::Flag(dc.over_dirty_watermark()),
             DcRequest::CompactPass => DcReply::Count(dc.compact_pass()? as u64),
-            DcRequest::OverGarbageWatermark => DcReply::Flag(dc.over_garbage_watermark()),
             DcRequest::CreateTable { table } => {
                 dc.create_table(table)?;
                 DcReply::Unit
@@ -319,15 +309,6 @@ impl DcServer {
                 DcReply::Unit
             }
             DcRequest::TableRoot { table } => DcReply::Pid(dc.table_root(table)?),
-            DcRequest::SetRoot { table, root } => {
-                dc.set_root(table, root);
-                DcReply::Unit
-            }
-            DcRequest::SaveCatalog { lsn } => {
-                dc.save_catalog(lsn)?;
-                DcReply::Unit
-            }
-            DcRequest::Tables => DcReply::TableIds(dc.tables()),
             DcRequest::LockTableExclusive { table } => {
                 let guard = dc.lock_table_exclusive(table);
                 DcReply::TableLocked { token: self.park_table(guard) }
@@ -341,17 +322,8 @@ impl DcServer {
                 DcReply::Unit
             }
             DcRequest::VerifyTable { table } => DcReply::Summary(dc.verify_table(table)?),
-            DcRequest::SmoRedo { window } => {
-                let (applied, skipped) = dc.smo_redo(&window)?;
-                DcReply::Pair(applied, skipped)
-            }
             DcRequest::Redo { window, plan } => DcReply::Redone(Box::new(dc.redo(&window, &plan)?)),
             DcRequest::LocateKey { table, key } => DcReply::located(dc.locate_key(table, key)?),
-            DcRequest::PreloadIndex => DcReply::preload(dc.preload_index()?),
-            DcRequest::FinishRedo => {
-                dc.finish_redo()?;
-                DcReply::Unit
-            }
             DcRequest::Stats => DcReply::Stats(Box::new(dc.stats())),
             DcRequest::Introspect => DcReply::WireTelemetry(self.telemetry.snapshot()),
         })
@@ -524,7 +496,7 @@ mod tests {
     #[test]
     fn corrupt_frames_are_rejected_not_fatal() {
         let srv = server();
-        let mut corrupt = frame(&envelope(7, &DcRequest::Tables.encode()));
+        let mut corrupt = frame(&envelope(7, &DcRequest::Stats.encode()));
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0xFF;
         let framed = srv.serve_frame(&corrupt);
@@ -545,19 +517,19 @@ mod tests {
             DcReply::Err(WireError::RecoveryInvariant(_))
         ));
         // The server still works afterwards.
-        assert!(matches!(srv.serve(DcRequest::Tables), DcReply::TableIds(_)));
+        assert!(matches!(srv.serve(DcRequest::Stats), DcReply::Stats(_)));
     }
 
     #[test]
     fn server_telemetry_attributes_ops_and_introspect_serves_it() {
         let srv = server();
-        call_frame(&srv, &DcRequest::Tables);
-        call_frame(&srv, &DcRequest::Tables);
+        call_frame(&srv, &DcRequest::Stats);
+        call_frame(&srv, &DcRequest::Stats);
         call_frame(&srv, &DcRequest::Read { table: TableId(99), key: 1 }); // error
         let snap = srv.telemetry();
-        let tables = snap.op(DcRequest::Tables.tag()).unwrap();
-        assert_eq!((tables.count, tables.errors), (2, 0));
-        assert_eq!(tables.lat_us.count(), 2);
+        let stats = snap.op(DcRequest::Stats.tag()).unwrap();
+        assert_eq!((stats.count, stats.errors), (2, 0));
+        assert_eq!(stats.lat_us.count(), 2);
         let read = snap.op(DcRequest::Read { table: T, key: 0 }.tag()).unwrap();
         assert_eq!((read.count, read.errors), (1, 1));
         // Introspect serves the accumulators over the wire; by the time

@@ -160,7 +160,7 @@ mod tests {
         let t = WireTelemetry::new();
         t.record(1, 10, 20, 5, true);
         t.record(1, 12, 22, 7, false);
-        t.record(34, 1, 300, 50, true);
+        t.record(crate::wire::MAX_REQ_TAG, 1, 300, 50, true);
         let snap = t.snapshot();
         assert_eq!(snap.ops.len(), 2);
         let read = snap.op(1).unwrap();
@@ -174,7 +174,7 @@ mod tests {
     fn snapshot_roundtrips_through_codec() {
         let t = WireTelemetry::new();
         t.record(5, 100, 2, 3, true);
-        t.record(35, 1, 400, 9, true);
+        t.record(crate::wire::MAX_REQ_TAG, 1, 400, 9, true);
         let snap = t.snapshot();
         let mut e = Encoder::with_capacity(64);
         snap.encode_into(&mut e);

@@ -27,7 +27,7 @@
 //! Both releases are idempotent (releasing an unknown token is a no-op), so
 //! a client retrying over a flaky transport can never wedge the server.
 
-use crate::api::{Located, PreloadStats, TableSummary};
+use crate::api::{Located, TableSummary};
 use crate::dc::{DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::redo::{Family, Prefetch, RedoPlan};
@@ -92,14 +92,10 @@ pub enum DcRequest {
     },
     DrainInFlightOps,
     Crash,
-    ReloadCatalog,
     PumpEvents,
     ForceEmit,
-    DiscardEvents,
     CleanerPass,
-    OverDirtyWatermark,
     CompactPass,
-    OverGarbageWatermark,
     CreateTable {
         table: TableId,
     },
@@ -110,14 +106,6 @@ pub enum DcRequest {
     TableRoot {
         table: TableId,
     },
-    SetRoot {
-        table: TableId,
-        root: PageId,
-    },
-    SaveCatalog {
-        lsn: Lsn,
-    },
-    Tables,
     LockTableExclusive {
         table: TableId,
     },
@@ -128,9 +116,6 @@ pub enum DcRequest {
     VerifyTable {
         table: TableId,
     },
-    SmoRedo {
-        window: Vec<LogRecord>,
-    },
     /// The whole redo pass: the scan window and the analysis's plan.
     Redo {
         window: Vec<LogRecord>,
@@ -140,8 +125,6 @@ pub enum DcRequest {
         table: TableId,
         key: Key,
     },
-    PreloadIndex,
-    FinishRedo,
     Stats,
     /// Pull the server's [`WireTelemetrySnapshot`] — its per-op view of
     /// this conversation — across the boundary.
@@ -206,28 +189,20 @@ pub enum DcReply {
         pid: PageId,
         before: Option<Value>,
     },
-    Flag(bool),
     Count(u64),
     Pid(PageId),
-    TableIds(Vec<TableId>),
     /// An exclusive table latch parked server-side: release with
     /// [`DcRequest::ReleaseTable`]`{token}`.
     TableLocked {
         token: u64,
     },
     Summary(TableSummary),
-    Pair(u64, u64),
     /// The redo shard of one [`DcRequest::Redo`] (boxed like `Stats`).
     Redone(Box<RecoveryBreakdown>),
     LocatedAt {
         pid: PageId,
         levels: u32,
         stall_us: u64,
-    },
-    Preload {
-        pages_loaded: u64,
-        prefetch_ios: u64,
-        prefetch_pages: u64,
     },
     // Boxed: a DcStats snapshot (two inline histograms) dwarfs every
     // other reply shape, and stats crossings are cold-path.
@@ -240,14 +215,6 @@ pub enum DcReply {
 impl DcReply {
     pub fn located(l: Located) -> DcReply {
         DcReply::LocatedAt { pid: l.pid, levels: l.levels, stall_us: l.stall_us }
-    }
-
-    pub fn preload(p: PreloadStats) -> DcReply {
-        DcReply::Preload {
-            pages_loaded: p.pages_loaded,
-            prefetch_ios: p.prefetch_ios,
-            prefetch_pages: p.prefetch_pages,
-        }
     }
 
     pub fn info(i: PrepareInfo) -> DcReply {
@@ -453,8 +420,9 @@ fn get_dpt(d: &mut Decoder<'_>) -> Result<Dpt, CodecError> {
 /// record, so a count off the wire is bounded before it is trusted.
 pub const MAX_WIRE_REDO_WORKERS: u64 = 1024;
 
-/// A [`RedoPlan`]: family and prefetch tags, the optional DPT, the tail
-/// boundary, the PF-list and the worker count.
+/// A [`RedoPlan`]: family and prefetch tags, the preload flag, the
+/// optional DPT, the tail boundary, the PF-list, the window's log pages
+/// and the worker count.
 fn put_plan(e: &mut Encoder, plan: &RedoPlan) {
     e.put_u8(match plan.family {
         Family::Logical => 0,
@@ -466,6 +434,7 @@ fn put_plan(e: &mut Encoder, plan: &RedoPlan) {
         Prefetch::DptOrder => 2,
         Prefetch::LogDriven => 3,
     });
+    e.put_u8(plan.preload as u8);
     match &plan.dpt {
         Some(dpt) => {
             e.put_u8(1);
@@ -478,6 +447,7 @@ fn put_plan(e: &mut Encoder, plan: &RedoPlan) {
     for pid in &plan.pf_list {
         e.put_pid(*pid);
     }
+    e.put_u64(plan.log_pages);
     e.put_u64(plan.workers as u64);
 }
 
@@ -494,6 +464,11 @@ fn get_plan(d: &mut Decoder<'_>) -> Result<RedoPlan, CodecError> {
         3 => Prefetch::LogDriven,
         t => return Err(CodecError::BadTag { context: "redo prefetch", tag: t }),
     };
+    let preload = match d.get_u8()? {
+        0 => false,
+        1 => true,
+        t => return Err(CodecError::BadTag { context: "redo preload", tag: t }),
+    };
     let dpt = match d.get_u8()? {
         0 => None,
         1 => Some(get_dpt(d)?),
@@ -505,6 +480,7 @@ fn get_plan(d: &mut Decoder<'_>) -> Result<RedoPlan, CodecError> {
     for _ in 0..n {
         pf_list.push(d.get_pid()?);
     }
+    let log_pages = d.get_u64()?;
     let workers = match d.get_u64()? {
         n if n <= MAX_WIRE_REDO_WORKERS => n as usize,
         value => {
@@ -512,7 +488,7 @@ fn get_plan(d: &mut Decoder<'_>) -> Result<RedoPlan, CodecError> {
             return Err(CodecError::OutOfRange { context: "redo workers", value, max });
         }
     };
-    Ok(RedoPlan { family, prefetch, dpt, tail_from, pf_list, workers })
+    Ok(RedoPlan { family, prefetch, preload, dpt, tail_from, pf_list, log_pages, workers })
 }
 
 /// The redo shard rides as its [`RecoveryBreakdown::redo_shard_mut`]
@@ -710,33 +686,23 @@ const REQ_EOSL: u8 = 9;
 const REQ_RSSP: u8 = 10;
 const REQ_DRAIN: u8 = 11;
 const REQ_CRASH: u8 = 12;
-const REQ_RELOAD_CATALOG: u8 = 13;
-const REQ_PUMP_EVENTS: u8 = 14;
-const REQ_FORCE_EMIT: u8 = 15;
-const REQ_DISCARD_EVENTS: u8 = 16;
-const REQ_CLEANER_PASS: u8 = 17;
-const REQ_OVER_WATERMARK: u8 = 18;
-const REQ_CREATE_TABLE: u8 = 19;
-const REQ_REGISTER_TABLE: u8 = 20;
-const REQ_TABLE_ROOT: u8 = 21;
-const REQ_SET_ROOT: u8 = 22;
-const REQ_SAVE_CATALOG: u8 = 23;
-const REQ_TABLES: u8 = 24;
-const REQ_LOCK_TABLE: u8 = 25;
-const REQ_RELEASE_TABLE: u8 = 26;
-const REQ_VERIFY_TABLE: u8 = 27;
-const REQ_SMO_REDO: u8 = 28;
-const REQ_REDO: u8 = 29;
-const REQ_LOCATE_KEY: u8 = 30;
-const REQ_PRELOAD_INDEX: u8 = 31;
-const REQ_FINISH_REDO: u8 = 32;
-const REQ_STATS: u8 = 33;
-const REQ_INTROSPECT: u8 = 34;
-const REQ_COMPACT_PASS: u8 = 35;
-const REQ_OVER_GARBAGE: u8 = 36;
+const REQ_PUMP_EVENTS: u8 = 13;
+const REQ_FORCE_EMIT: u8 = 14;
+const REQ_CLEANER_PASS: u8 = 15;
+const REQ_COMPACT_PASS: u8 = 16;
+const REQ_CREATE_TABLE: u8 = 17;
+const REQ_REGISTER_TABLE: u8 = 18;
+const REQ_TABLE_ROOT: u8 = 19;
+const REQ_LOCK_TABLE: u8 = 20;
+const REQ_RELEASE_TABLE: u8 = 21;
+const REQ_VERIFY_TABLE: u8 = 22;
+const REQ_REDO: u8 = 23;
+const REQ_LOCATE_KEY: u8 = 24;
+const REQ_STATS: u8 = 25;
+const REQ_INTROSPECT: u8 = 26;
 
 /// The highest assigned request tag — sizes per-op telemetry tables.
-pub const MAX_REQ_TAG: u8 = REQ_OVER_GARBAGE;
+pub const MAX_REQ_TAG: u8 = REQ_INTROSPECT;
 
 /// Human-readable name of a request tag, for telemetry rows and trace
 /// events. Unknown tags render as `"unknown"`.
@@ -754,30 +720,20 @@ pub fn op_name(tag: u8) -> &'static str {
         REQ_RSSP => "rssp",
         REQ_DRAIN => "drain_in_flight_ops",
         REQ_CRASH => "crash",
-        REQ_RELOAD_CATALOG => "reload_catalog",
         REQ_PUMP_EVENTS => "pump_events",
         REQ_FORCE_EMIT => "force_emit",
-        REQ_DISCARD_EVENTS => "discard_events",
         REQ_CLEANER_PASS => "cleaner_pass",
-        REQ_OVER_WATERMARK => "over_dirty_watermark",
+        REQ_COMPACT_PASS => "compact_pass",
         REQ_CREATE_TABLE => "create_table",
         REQ_REGISTER_TABLE => "register_table",
         REQ_TABLE_ROOT => "table_root",
-        REQ_SET_ROOT => "set_root",
-        REQ_SAVE_CATALOG => "save_catalog",
-        REQ_TABLES => "tables",
         REQ_LOCK_TABLE => "lock_table_exclusive",
         REQ_RELEASE_TABLE => "release_table",
         REQ_VERIFY_TABLE => "verify_table",
-        REQ_SMO_REDO => "smo_redo",
         REQ_REDO => "redo",
         REQ_LOCATE_KEY => "locate_key",
-        REQ_PRELOAD_INDEX => "preload_index",
-        REQ_FINISH_REDO => "finish_redo",
         REQ_STATS => "stats",
         REQ_INTROSPECT => "introspect",
-        REQ_COMPACT_PASS => "compact_pass",
-        REQ_OVER_GARBAGE => "over_garbage_watermark",
         _ => "unknown",
     }
 }
@@ -860,14 +816,10 @@ impl DcRequest {
             }
             DcRequest::DrainInFlightOps => e.put_u8(REQ_DRAIN),
             DcRequest::Crash => e.put_u8(REQ_CRASH),
-            DcRequest::ReloadCatalog => e.put_u8(REQ_RELOAD_CATALOG),
             DcRequest::PumpEvents => e.put_u8(REQ_PUMP_EVENTS),
             DcRequest::ForceEmit => e.put_u8(REQ_FORCE_EMIT),
-            DcRequest::DiscardEvents => e.put_u8(REQ_DISCARD_EVENTS),
             DcRequest::CleanerPass => e.put_u8(REQ_CLEANER_PASS),
-            DcRequest::OverDirtyWatermark => e.put_u8(REQ_OVER_WATERMARK),
             DcRequest::CompactPass => e.put_u8(REQ_COMPACT_PASS),
-            DcRequest::OverGarbageWatermark => e.put_u8(REQ_OVER_GARBAGE),
             DcRequest::CreateTable { table } => {
                 e.put_u8(REQ_CREATE_TABLE);
                 e.put_table(*table);
@@ -881,16 +833,6 @@ impl DcRequest {
                 e.put_u8(REQ_TABLE_ROOT);
                 e.put_table(*table);
             }
-            DcRequest::SetRoot { table, root } => {
-                e.put_u8(REQ_SET_ROOT);
-                e.put_table(*table);
-                e.put_pid(*root);
-            }
-            DcRequest::SaveCatalog { lsn } => {
-                e.put_u8(REQ_SAVE_CATALOG);
-                e.put_lsn(*lsn);
-            }
-            DcRequest::Tables => e.put_u8(REQ_TABLES),
             DcRequest::LockTableExclusive { table } => {
                 e.put_u8(REQ_LOCK_TABLE);
                 e.put_table(*table);
@@ -903,18 +845,12 @@ impl DcRequest {
                 e.put_u8(REQ_VERIFY_TABLE);
                 e.put_table(*table);
             }
-            DcRequest::SmoRedo { window } => {
-                e.put_u8(REQ_SMO_REDO);
-                put_records(&mut e, window);
-            }
             DcRequest::Redo { window, plan } => return encode_redo(window, plan),
             DcRequest::LocateKey { table, key } => {
                 e.put_u8(REQ_LOCATE_KEY);
                 e.put_table(*table);
                 e.put_key(*key);
             }
-            DcRequest::PreloadIndex => e.put_u8(REQ_PRELOAD_INDEX),
-            DcRequest::FinishRedo => e.put_u8(REQ_FINISH_REDO),
             DcRequest::Stats => e.put_u8(REQ_STATS),
             DcRequest::Introspect => e.put_u8(REQ_INTROSPECT),
         }
@@ -936,28 +872,18 @@ impl DcRequest {
             DcRequest::Rssp { .. } => REQ_RSSP,
             DcRequest::DrainInFlightOps => REQ_DRAIN,
             DcRequest::Crash => REQ_CRASH,
-            DcRequest::ReloadCatalog => REQ_RELOAD_CATALOG,
             DcRequest::PumpEvents => REQ_PUMP_EVENTS,
             DcRequest::ForceEmit => REQ_FORCE_EMIT,
-            DcRequest::DiscardEvents => REQ_DISCARD_EVENTS,
             DcRequest::CleanerPass => REQ_CLEANER_PASS,
-            DcRequest::OverDirtyWatermark => REQ_OVER_WATERMARK,
             DcRequest::CompactPass => REQ_COMPACT_PASS,
-            DcRequest::OverGarbageWatermark => REQ_OVER_GARBAGE,
             DcRequest::CreateTable { .. } => REQ_CREATE_TABLE,
             DcRequest::RegisterTable { .. } => REQ_REGISTER_TABLE,
             DcRequest::TableRoot { .. } => REQ_TABLE_ROOT,
-            DcRequest::SetRoot { .. } => REQ_SET_ROOT,
-            DcRequest::SaveCatalog { .. } => REQ_SAVE_CATALOG,
-            DcRequest::Tables => REQ_TABLES,
             DcRequest::LockTableExclusive { .. } => REQ_LOCK_TABLE,
             DcRequest::ReleaseTable { .. } => REQ_RELEASE_TABLE,
             DcRequest::VerifyTable { .. } => REQ_VERIFY_TABLE,
-            DcRequest::SmoRedo { .. } => REQ_SMO_REDO,
             DcRequest::Redo { .. } => REQ_REDO,
             DcRequest::LocateKey { .. } => REQ_LOCATE_KEY,
-            DcRequest::PreloadIndex => REQ_PRELOAD_INDEX,
-            DcRequest::FinishRedo => REQ_FINISH_REDO,
             DcRequest::Stats => REQ_STATS,
             DcRequest::Introspect => REQ_INTROSPECT,
         }
@@ -988,30 +914,20 @@ impl DcRequest {
             REQ_RSSP => DcRequest::Rssp { rssp_lsn: d.get_lsn()? },
             REQ_DRAIN => DcRequest::DrainInFlightOps,
             REQ_CRASH => DcRequest::Crash,
-            REQ_RELOAD_CATALOG => DcRequest::ReloadCatalog,
             REQ_PUMP_EVENTS => DcRequest::PumpEvents,
             REQ_FORCE_EMIT => DcRequest::ForceEmit,
-            REQ_DISCARD_EVENTS => DcRequest::DiscardEvents,
             REQ_CLEANER_PASS => DcRequest::CleanerPass,
-            REQ_OVER_WATERMARK => DcRequest::OverDirtyWatermark,
             REQ_COMPACT_PASS => DcRequest::CompactPass,
-            REQ_OVER_GARBAGE => DcRequest::OverGarbageWatermark,
             REQ_CREATE_TABLE => DcRequest::CreateTable { table: d.get_table()? },
             REQ_REGISTER_TABLE => {
                 DcRequest::RegisterTable { table: d.get_table()?, root: d.get_pid()? }
             }
             REQ_TABLE_ROOT => DcRequest::TableRoot { table: d.get_table()? },
-            REQ_SET_ROOT => DcRequest::SetRoot { table: d.get_table()?, root: d.get_pid()? },
-            REQ_SAVE_CATALOG => DcRequest::SaveCatalog { lsn: d.get_lsn()? },
-            REQ_TABLES => DcRequest::Tables,
             REQ_LOCK_TABLE => DcRequest::LockTableExclusive { table: d.get_table()? },
             REQ_RELEASE_TABLE => DcRequest::ReleaseTable { token: d.get_u64()? },
             REQ_VERIFY_TABLE => DcRequest::VerifyTable { table: d.get_table()? },
-            REQ_SMO_REDO => DcRequest::SmoRedo { window: get_records(&mut d)? },
             REQ_REDO => DcRequest::Redo { window: get_records(&mut d)?, plan: get_plan(&mut d)? },
             REQ_LOCATE_KEY => DcRequest::LocateKey { table: d.get_table()?, key: d.get_key()? },
-            REQ_PRELOAD_INDEX => DcRequest::PreloadIndex,
-            REQ_FINISH_REDO => DcRequest::FinishRedo,
             REQ_STATS => DcRequest::Stats,
             REQ_INTROSPECT => DcRequest::Introspect,
             t => return Err(CodecError::BadTag { context: "dc request", tag: t }),
@@ -1026,19 +942,15 @@ const REP_VALUE: u8 = 2;
 const REP_ROWS: u8 = 3;
 const REP_PREPARED: u8 = 4;
 const REP_INFO: u8 = 5;
-const REP_FLAG: u8 = 6;
-const REP_COUNT: u8 = 7;
-const REP_PID: u8 = 8;
-const REP_TABLE_IDS: u8 = 9;
-const REP_TABLE_LOCKED: u8 = 10;
-const REP_SUMMARY: u8 = 11;
-const REP_PAIR: u8 = 12;
-const REP_REDONE: u8 = 13;
-const REP_LOCATED: u8 = 14;
-const REP_PRELOAD: u8 = 15;
-const REP_STATS: u8 = 16;
-const REP_ERR: u8 = 17;
-const REP_WIRE_TELEMETRY: u8 = 18;
+const REP_COUNT: u8 = 6;
+const REP_PID: u8 = 7;
+const REP_TABLE_LOCKED: u8 = 8;
+const REP_SUMMARY: u8 = 9;
+const REP_REDONE: u8 = 10;
+const REP_LOCATED: u8 = 11;
+const REP_STATS: u8 = 12;
+const REP_ERR: u8 = 13;
+const REP_WIRE_TELEMETRY: u8 = 14;
 
 impl DcReply {
     pub fn encode(&self) -> Vec<u8> {
@@ -1064,10 +976,6 @@ impl DcReply {
                 e.put_pid(*pid);
                 put_opt_value(&mut e, before);
             }
-            DcReply::Flag(b) => {
-                e.put_u8(REP_FLAG);
-                e.put_u8(*b as u8);
-            }
             DcReply::Count(c) => {
                 e.put_u8(REP_COUNT);
                 e.put_u64(*c);
@@ -1075,13 +983,6 @@ impl DcReply {
             DcReply::Pid(p) => {
                 e.put_u8(REP_PID);
                 e.put_pid(*p);
-            }
-            DcReply::TableIds(ts) => {
-                e.put_u8(REP_TABLE_IDS);
-                e.put_u32(ts.len() as u32);
-                for t in ts {
-                    e.put_table(*t);
-                }
             }
             DcReply::TableLocked { token } => {
                 e.put_u8(REP_TABLE_LOCKED);
@@ -1094,11 +995,6 @@ impl DcReply {
                 e.put_u64(s.internal_pages);
                 e.put_u32(s.height);
             }
-            DcReply::Pair(a, b) => {
-                e.put_u8(REP_PAIR);
-                e.put_u64(*a);
-                e.put_u64(*b);
-            }
             DcReply::Redone(shard) => {
                 e.put_u8(REP_REDONE);
                 put_shard(&mut e, shard);
@@ -1108,12 +1004,6 @@ impl DcReply {
                 e.put_pid(*pid);
                 e.put_u32(*levels);
                 e.put_u64(*stall_us);
-            }
-            DcReply::Preload { pages_loaded, prefetch_ios, prefetch_pages } => {
-                e.put_u8(REP_PRELOAD);
-                e.put_u64(*pages_loaded);
-                e.put_u64(*prefetch_ios);
-                e.put_u64(*prefetch_pages);
             }
             DcReply::Stats(s) => {
                 e.put_u8(REP_STATS);
@@ -1143,21 +1033,8 @@ impl DcReply {
                 before: get_opt_value(&mut d)?,
             },
             REP_INFO => DcReply::Info { pid: d.get_pid()?, before: get_opt_value(&mut d)? },
-            REP_FLAG => DcReply::Flag(match d.get_u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(CodecError::BadTag { context: "bool flag", tag: t }),
-            }),
             REP_COUNT => DcReply::Count(d.get_u64()?),
             REP_PID => DcReply::Pid(d.get_pid()?),
-            REP_TABLE_IDS => {
-                let n = d.get_u32()? as usize;
-                let mut ts = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    ts.push(d.get_table()?);
-                }
-                DcReply::TableIds(ts)
-            }
             REP_TABLE_LOCKED => DcReply::TableLocked { token: d.get_u64()? },
             REP_SUMMARY => DcReply::Summary(TableSummary {
                 records: d.get_u64()?,
@@ -1165,17 +1042,11 @@ impl DcReply {
                 internal_pages: d.get_u64()?,
                 height: d.get_u32()?,
             }),
-            REP_PAIR => DcReply::Pair(d.get_u64()?, d.get_u64()?),
             REP_REDONE => DcReply::Redone(Box::new(get_shard(&mut d)?)),
             REP_LOCATED => DcReply::LocatedAt {
                 pid: d.get_pid()?,
                 levels: d.get_u32()?,
                 stall_us: d.get_u64()?,
-            },
-            REP_PRELOAD => DcReply::Preload {
-                pages_loaded: d.get_u64()?,
-                prefetch_ios: d.get_u64()?,
-                prefetch_pages: d.get_u64()?,
             },
             REP_STATS => DcReply::Stats(Box::new(get_stats(&mut d)?)),
             REP_WIRE_TELEMETRY => {
@@ -1223,9 +1094,11 @@ mod tests {
         let plan = RedoPlan {
             family: Family::Physiological,
             prefetch: Prefetch::LogDriven,
+            preload: true,
             dpt: Some(dpt),
             tail_from: Lsn::MAX,
             pf_list: vec![PageId(9), PageId(4)],
+            log_pages: 17,
             workers: 2,
         };
         for req in [
@@ -1249,24 +1122,16 @@ mod tests {
             DcRequest::Rssp { rssp_lsn: Lsn(400) },
             DcRequest::DrainInFlightOps,
             DcRequest::Crash,
-            DcRequest::ReloadCatalog,
             DcRequest::PumpEvents,
             DcRequest::ForceEmit,
-            DcRequest::DiscardEvents,
             DcRequest::CleanerPass,
-            DcRequest::OverDirtyWatermark,
             DcRequest::CompactPass,
-            DcRequest::OverGarbageWatermark,
             DcRequest::CreateTable { table: TableId(3) },
             DcRequest::RegisterTable { table: TableId(3), root: PageId(11) },
             DcRequest::TableRoot { table: TableId(3) },
-            DcRequest::SetRoot { table: TableId(3), root: PageId(12) },
-            DcRequest::SaveCatalog { lsn: Lsn(600) },
-            DcRequest::Tables,
             DcRequest::LockTableExclusive { table: TableId(1) },
             DcRequest::ReleaseTable { token: 88 },
             DcRequest::VerifyTable { table: TableId(1) },
-            DcRequest::SmoRedo { window: vec![rec.clone()] },
             DcRequest::Redo { window: vec![rec.clone(), rec.clone()], plan: plan.clone() },
             DcRequest::Redo {
                 window: Vec::new(),
@@ -1278,8 +1143,6 @@ mod tests {
                 },
             },
             DcRequest::LocateKey { table: TableId(1), key: 5 },
-            DcRequest::PreloadIndex,
-            DcRequest::FinishRedo,
             DcRequest::Stats,
             DcRequest::Introspect,
         ] {
@@ -1341,10 +1204,8 @@ mod tests {
             DcReply::Rows(vec![(1, vec![4]), (2, vec![5, 6])]),
             DcReply::Prepared { token: 1, pid: PageId(7), before: Some(vec![9]) },
             DcReply::Info { pid: PageId(8), before: None },
-            DcReply::Flag(true),
             DcReply::Count(17),
             DcReply::Pid(PageId(5)),
-            DcReply::TableIds(vec![TableId(1), TableId(2)]),
             DcReply::TableLocked { token: 4 },
             DcReply::Summary(TableSummary {
                 records: 100,
@@ -1352,7 +1213,6 @@ mod tests {
                 internal_pages: 2,
                 height: 3,
             }),
-            DcReply::Pair(3, 4),
             DcReply::Redone(Box::new({
                 let mut shard = RecoveryBreakdown::default();
                 for (i, field) in shard.redo_shard_mut().into_iter().enumerate() {
@@ -1361,7 +1221,6 @@ mod tests {
                 shard
             })),
             DcReply::LocatedAt { pid: PageId(3), levels: 2, stall_us: 120 },
-            DcReply::Preload { pages_loaded: 5, prefetch_ios: 1, prefetch_pages: 4 },
             DcReply::Stats(Box::new(stats)),
             DcReply::WireTelemetry({
                 let t = crate::telemetry::WireTelemetry::new();
@@ -1431,9 +1290,11 @@ mod tests {
         let plan = |workers| RedoPlan {
             family: Family::Logical,
             prefetch: Prefetch::None,
+            preload: false,
             dpt: None,
             tail_from: Lsn::MAX,
             pf_list: Vec::new(),
+            log_pages: 0,
             workers,
         };
         let max = MAX_WIRE_REDO_WORKERS as usize;
@@ -1449,7 +1310,7 @@ mod tests {
         assert!(matches!(DcRequest::decode(&[0xFF]), Err(CodecError::BadTag { .. })));
         assert!(matches!(DcReply::decode(&[0xFF]), Err(CodecError::BadTag { .. })));
         // Trailing garbage after a well-formed message is rejected too.
-        let mut bytes = DcRequest::Tables.encode();
+        let mut bytes = DcRequest::Stats.encode();
         bytes.push(0);
         assert!(matches!(DcRequest::decode(&bytes), Err(CodecError::Truncated { .. })));
     }

@@ -19,7 +19,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Recovery phases that appear in [`EventKind::RecoveryPhaseStart`] /
-/// [`EventKind::RecoveryPhaseEnd`] span events.
+/// [`EventKind::RecoveryPhaseEnd`] span events. The TC journals
+/// `Analysis` and `Undo`; the data component journals the four phases of
+/// its one recovery call (`DcApi::redo`) between them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RecoveryPhase {
     /// Analysis pass (DPT construction; "DC redo" for logical methods).
@@ -30,7 +32,7 @@ pub enum RecoveryPhase {
     IndexPreload,
     /// The redo pass proper — emitted once per redo worker when parallel.
     Redo,
-    /// Post-redo volatile-structure rebuild (`DcApi::finish_redo`).
+    /// Post-redo volatile-structure rebuild, the last phase of `DcApi::redo`.
     IndexRebuild,
     /// Transactional undo of loser transactions.
     Undo,

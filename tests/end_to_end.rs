@@ -142,7 +142,7 @@ fn index_preload_loads_the_whole_index() {
     let (log2, engine, _) = crash_and_recover(RecoveryMethod::Log2, 23, 64);
     let summary = engine.verify_table(DEFAULT_TABLE).unwrap();
     assert_eq!(
-        log2.index_pages_loaded, summary.internal_pages,
+        log2.breakdown.index_pages_loaded, summary.internal_pages,
         "preload must touch every internal page exactly once"
     );
     assert!(log2.breakdown.index_preload_us > 0);

@@ -102,9 +102,11 @@ fn redo_request(n: u64) -> Vec<u8> {
     let plan = RedoPlan {
         family: Family::Physiological,
         prefetch: Prefetch::None,
+        preload: false,
         dpt: Some(Dpt::new()),
         tail_from: Lsn::MAX,
         pf_list: Vec::new(),
+        log_pages: 0,
         workers: 1,
     };
     encode_redo(&window, &plan)
