@@ -119,13 +119,19 @@ fn undo_chain(
         stats.busy_us +=
             model.cpu_btree_level_us * loc.levels as u64 + loc.stall_us + model.cpu_apply_us;
         let pid = match &action {
-            // Re-inserting may need page space: stage through the DC so any
-            // SMO is logged as usual (on the path the locate just warmed).
+            // Re-inserting or re-growing a value may need page space the
+            // page no longer has (a neighbour may have used what the
+            // operation freed): stage through the DC so any SMO is logged
+            // as usual, before the CLR, on the path the locate just warmed.
             ClrAction::InsertValue(v) => {
                 let intent = lr_dc::WriteIntent::Insert { value_len: v.len() };
                 dc.prepare_write(table, key, intent)?.pid
             }
-            _ => loc.pid,
+            ClrAction::RestoreValue(v) => {
+                let intent = lr_dc::WriteIntent::Update { value_len: v.len() };
+                dc.prepare_write(table, key, intent)?.pid
+            }
+            ClrAction::RemoveKey => loc.pid,
         };
         let clr = tc.log_clr(txn, table, key, pid, prev_lsn, action);
         dc.apply_at(pid, &clr)?;

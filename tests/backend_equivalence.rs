@@ -274,6 +274,69 @@ fn parallel_recovery_matches_serial_on_the_hash_backend() {
     }
 }
 
+/// T1 shrinks a value and stays open; a committed neighbour on the same
+/// page then takes the freed space. Undoing T1 must re-grow the value —
+/// staging the restore through the DC (an SMO where the page has no room)
+/// before its CLR is logged — both on an online abort and in recovery's
+/// undo under every method. Returns the engine with T1 still open, its
+/// oracle, T1, the shrunk key and its committed value.
+fn shrink_then_neighbour_fills(
+    backend: &str,
+) -> (Engine, ShadowDb, lr_common::TxnId, u64, Vec<u8>) {
+    let cfg = config_for(backend);
+    let mut shadow = ShadowDb::with_initial_rows(&cfg);
+    let engine = Engine::build(cfg).unwrap();
+    engine.checkpoint().unwrap();
+    let key = 700;
+    let original = engine.read(DEFAULT_TABLE, key).unwrap().unwrap();
+    let page_of = |k| engine.dc().locate_key(DEFAULT_TABLE, k).unwrap().pid;
+    let neighbour = (key + 1..).find(|k| page_of(*k) == page_of(key)).unwrap();
+
+    let t1 = engine.begin().unwrap();
+    engine.update(t1, key, vec![1]).unwrap();
+    shadow.stage_put(t1, DEFAULT_TABLE, key, vec![1]);
+    let freed = original.len() - 1;
+    let free = engine.dc().pool().with_page(page_of(key), |p| p.free_space()).unwrap();
+    // All the page's free space but half of what the shrink freed, so the
+    // restore no longer fits in place. The log backend keeps values in
+    // the log, not on the stub page its records name: any growth does.
+    let grow = if backend == "log" { 64 } else { free - freed / 2 };
+    let old = engine.read(DEFAULT_TABLE, neighbour).unwrap().unwrap();
+    let grown = vec![9u8; old.len() + grow];
+    let t2 = engine.begin().unwrap();
+    engine.update(t2, neighbour, grown.clone()).unwrap();
+    shadow.stage_put(t2, DEFAULT_TABLE, neighbour, grown);
+    engine.commit(t2).unwrap();
+    shadow.commit(t2);
+    (engine, shadow, t1, key, original)
+}
+
+#[test]
+fn undo_regrows_a_value_after_a_neighbour_used_the_space() {
+    for backend in ["btree", "hash", "log"] {
+        let check = |engine: &Engine, shadow: &ShadowDb, key: u64, original: &[u8], case: &str| {
+            assert_eq!(engine.read(DEFAULT_TABLE, key).unwrap().unwrap(), original, "{case}");
+            engine.verify_table(DEFAULT_TABLE).unwrap_or_else(|e| panic!("{case}: {e}"));
+            shadow.verify_against(engine).unwrap_or_else(|e| panic!("{case}: {e}"));
+        };
+
+        let (engine, mut shadow, t1, key, original) = shrink_then_neighbour_fills(backend);
+        engine.abort(t1).unwrap_or_else(|e| panic!("{backend}: online abort: {e}"));
+        shadow.abort(t1);
+        check(&engine, &shadow, key, &original, &format!("{backend}: online abort"));
+
+        let (engine, mut shadow, _, key, original) = shrink_then_neighbour_fills(backend);
+        engine.crash();
+        shadow.crash();
+        for method in RecoveryMethod::all() {
+            let fork = engine.fork_crashed().unwrap();
+            let report = fork.recover(method).unwrap_or_else(|e| panic!("{backend}/{method}: {e}"));
+            assert_eq!(report.breakdown.losers_undone, 1, "{backend}/{method}");
+            check(&fork, &shadow, key, &original, &format!("{backend}/{method}"));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // bank invariant, both backends
 // ---------------------------------------------------------------------
