@@ -22,9 +22,8 @@
 //!   backend strictly fewer log + page-write bytes than the B-tree;
 //! * the crossing counts — a committed 10-update transaction through a
 //!   proxy is exactly 10 `PrepareOp` + 10 `Apply` + 1 `Eosl` and no
-//!   `ReleaseOp`, recovery's `smo_redo` ships SMO records, not the redo
-//!   window, and a recovery's crossings per op are pinned per method
-//!   (redo is one `redo` call, run server-side);
+//!   `ReleaseOp`, and a recovery's crossings per op are pinned per method
+//!   (all of DC recovery is one `redo` call, run server-side);
 //! * the transport-drop probe — a prepare parked server-side when the
 //!   connection dies must surface a clean error (from the apply that
 //!   consumes it, too) and release its token, never a wedged latch.
@@ -609,32 +608,6 @@ fn tcp_committed_transaction_is_two_crossings_per_write_plus_the_eosl() {
     assert_ten_update_transaction_is_21_crossings("tcp:btree");
 }
 
-#[test]
-fn remote_recovery_ships_smo_records_not_the_redo_window() {
-    // `smo_redo` reads SMO records only, so only they may cross it: the
-    // window itself crosses once per recovery, in the `redo` call. An
-    // update-only window (no structure modification since the
-    // checkpoint) must send none.
-    let engine = Engine::build(config_for("remote:btree")).unwrap();
-    engine.checkpoint().unwrap();
-    let vsize = engine.config().row_value_size;
-    let t = engine.begin().unwrap();
-    for k in 0..400u64 {
-        engine.update(t, k, deterministic_value(k, 1, vsize)).unwrap();
-    }
-    engine.commit(t).unwrap();
-    engine.crash();
-
-    let fork = engine.fork_crashed().unwrap();
-    let report = fork.recover(RecoveryMethod::Log1).unwrap();
-    assert!(report.window_records >= 400, "the window holds every update");
-    let snap = fork.dc().wire_telemetry().unwrap();
-    let smo_redo = snap.ops.iter().find(|o| o.name() == "smo_redo").expect("Log1 runs SMO redo");
-    // Tag byte + a zero record count, per call.
-    assert_eq!(smo_redo.req_bytes, 5 * smo_redo.count, "data records crossed in smo_redo");
-    assert_eq!(fork.read(DEFAULT_TABLE, 399).unwrap().unwrap(), deterministic_value(399, 1, vsize));
-}
-
 /// The pinned breakdown fields, in `REMOTE_MODELED` column order.
 fn modeled_fields(b: &lr_common::RecoveryBreakdown) -> [u64; 13] {
     [
@@ -695,9 +668,9 @@ fn pinned_crash(backend: &str) -> Engine {
 }
 
 /// The crossings one recovery makes, per op, for a fixed `remote:btree`
-/// crash: each of the paper's five methods serially, and Log1 on two redo
-/// workers — and, under the default (costed) I/O model, each serial
-/// method's modeled breakdown, which redo running DC-side left unchanged.
+/// crash: every method on one and two redo workers — and, under the
+/// default (costed) I/O model, the paper's five methods' serial modeled
+/// breakdown, which DC recovery running DC-side left unchanged.
 #[test]
 fn remote_recovery_crossings_are_pinned_per_method() {
     let engine = pinned_crash("remote:btree");
@@ -713,52 +686,42 @@ fn remote_recovery_crossings_are_pinned_per_method() {
             .collect();
         // The engine's metrics export names the new op too.
         assert_eq!(fork.metrics().counter("dc_wire_requests_redo"), Some(1), "{method}");
+        // The last committed write before the crash (`pinned_crash`'s
+        // i = 79 writes key 79 * 17) reads back.
+        let key = 79 * 17;
+        let value = deterministic_value(key, 9, fork.config().row_value_size);
+        assert_eq!(fork.read(DEFAULT_TABLE, key).unwrap().unwrap(), value, "{method}");
         (delta, report.breakdown)
     };
-    let mut got = Vec::new();
     let mut modeled = Vec::new();
     for method in RecoveryMethod::paper_five() {
-        let (delta, breakdown) = recover(method, 1);
-        got.push((method.name(), 1, delta));
-        modeled.push((method.name(), modeled_fields(&breakdown)));
+        modeled.push((method.name(), modeled_fields(&recover(method, 1).1)));
     }
-    got.push(("Log1", 2, recover(RecoveryMethod::Log1, 2).0));
     assert_eq!(modeled, REMOTE_MODELED, "one row per method, in paper order");
 
-    // Every method: one redo call — the whole pass, SMO replay and
-    // partitioned workers included, runs DC-side — then the two
-    // compensations' locate / latch / apply / pump, the post-redo rebuild
-    // hook, the closing checkpoint.
-    let with = |extra: &[(&'static str, u64)]| {
-        let mut ops = vec![
-            ("apply_at", 2),
-            ("drain_in_flight_ops", 1),
-            ("eosl", 2),
-            ("finish_redo", 1),
-            ("locate_key", 2),
-            ("lock_table_exclusive", 2),
-            ("pump_events", 2),
-            ("redo", 1),
-            ("release_table", 2),
-            ("rssp", 1),
-        ];
-        ops.extend_from_slice(extra);
-        ops.sort_unstable();
-        ops
-    };
-    // Logical methods run DC recovery's SMO redo first; physiological ones
-    // reload the catalog and replay SMOs inside the redo call.
-    let logical = [("smo_redo", 1)];
-    let physiological = [("reload_catalog", 1)];
-    let want = vec![
-        ("Log0", 1, with(&logical)),
-        ("Log1", 1, with(&logical)),
-        ("SQL1", 1, with(&physiological)),
-        ("Log2", 1, with(&[logical[0], ("preload_index", 1)])),
-        ("SQL2", 1, with(&physiological)),
-        ("Log1", 2, with(&logical)),
+    // Every method at either worker count: DC recovery is one redo call —
+    // SMO redo or the catalog reload, the preload, redo with its SMO
+    // replay and partitioned workers, the index rebuild all run DC-side —
+    // then the two compensations' locate / latch / apply / pump (the
+    // restored value staged through prepare_write first), the closing
+    // checkpoint.
+    let ops = vec![
+        ("apply_at", 2),
+        ("drain_in_flight_ops", 1),
+        ("eosl", 2),
+        ("locate_key", 2),
+        ("lock_table_exclusive", 2),
+        ("prepare_write", 1),
+        ("pump_events", 2),
+        ("redo", 1),
+        ("release_table", 2),
+        ("rssp", 1),
     ];
-    assert_eq!(got, want);
+    for method in RecoveryMethod::all() {
+        for workers in [1, 2] {
+            assert_eq!(recover(method, workers).0, ops, "{method} on {workers} workers");
+        }
+    }
 }
 
 /// The pinned breakdown fields, in `PAGE_LOGICAL_MODELED` column order.
