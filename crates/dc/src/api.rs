@@ -323,7 +323,8 @@ pub trait DcApi: DcIntrospect {
 
     /// Exclusive table latch (undo relocation, external SMO-capable
     /// flows): while held, no other writer can move records of `table`.
-    fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_>;
+    /// Fails only when the DC cannot be reached (a dead transport).
+    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>>;
 
     /// Walk `table`'s whole structure, checking the backend's invariants
     /// (ordering, linkage, placement function) and summarizing its shape.

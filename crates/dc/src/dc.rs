@@ -1142,8 +1142,8 @@ impl DcApi for DataComponent {
         DataComponent::table_root(self, table)
     }
 
-    fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_> {
-        TableGuard::new(DataComponent::lock_table_exclusive(self, table))
+    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>> {
+        Ok(TableGuard::new(DataComponent::lock_table_exclusive(self, table)))
     }
 
     fn verify_table(&self, table: TableId) -> Result<TableSummary> {

@@ -984,8 +984,8 @@ impl DcApi for LogDc {
         self.catalog.lock().root_of(table)
     }
 
-    fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_> {
-        TableGuard::new(self.table_latch(table).write())
+    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>> {
+        Ok(TableGuard::new(self.table_latch(table).write()))
     }
 
     fn verify_table(&self, table: TableId) -> Result<TableSummary> {

@@ -474,16 +474,12 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn lock_table_exclusive(&self, table: TableId) -> TableGuard<'_> {
-        // The trait has no error channel here; a dead transport is a
-        // deployment failure, not a recoverable condition for a caller
-        // that needs an exclusive latch.
-        match self.call(DcRequest::LockTableExclusive { table }) {
-            Ok(DcReply::TableLocked { token }) => {
-                TableGuard::new(RemoteTableGuard { client: self.client.clone(), token })
+    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>> {
+        match self.call(DcRequest::LockTableExclusive { table })? {
+            DcReply::TableLocked { token } => {
+                Ok(TableGuard::new(RemoteTableGuard { client: self.client.clone(), token }))
             }
-            Ok(other) => panic!("wire: unexpected reply for lock_table_exclusive: {other:?}"),
-            Err(e) => panic!("wire: lock_table_exclusive failed: {e}"),
+            other => Err(Self::protocol("lock_table_exclusive", other)),
         }
     }
 

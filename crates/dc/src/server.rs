@@ -310,7 +310,7 @@ impl DcServer {
             }
             DcRequest::TableRoot { table } => DcReply::Pid(dc.table_root(table)?),
             DcRequest::LockTableExclusive { table } => {
-                let guard = dc.lock_table_exclusive(table);
+                let guard = dc.lock_table_exclusive(table)?;
                 DcReply::TableLocked { token: self.park_table(guard) }
             }
             DcRequest::ReleaseTable { token } => {

@@ -112,7 +112,7 @@ fn undo_chain(
         // Compensation under the exclusive table latch: relocation, CLR
         // logging and application must see one placement shape even with
         // other sessions running.
-        let _latch = dc.lock_table_exclusive(table);
+        let _latch = dc.lock_table_exclusive(table)?;
         // Logical re-location: find (and warm) the page that now holds the
         // key, keeping the device time on *this* worker's shard.
         let loc = dc.locate_key(table, key)?;

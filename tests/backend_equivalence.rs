@@ -24,9 +24,15 @@
 //!   proxy is exactly 10 `PrepareOp` + 10 `Apply` + 1 `Eosl` and no
 //!   `ReleaseOp`, and a recovery's crossings per op are pinned per method
 //!   (all of DC recovery is one `redo` call, run server-side);
-//! * the transport-drop probe — a prepare parked server-side when the
+//! * the modeled pins — serial recovery's modeled breakdown per method
+//!   for one fixed crash, on `remote:btree`, `hash` and `log`;
+//! * the undo re-grow probe — a value a loser shrank, whose freed space a
+//!   committed neighbour took, is restored on abort and in recovery;
+//! * the transport-drop probes — a prepare parked server-side when the
 //!   connection dies must surface a clean error (from the apply that
-//!   consumes it, too) and release its token, never a wedged latch.
+//!   consumes it, too) and release its token, never a wedged latch; and
+//!   an abort over a dropped connection returns a typed error, never a
+//!   panic.
 
 use lr_common::IoModel;
 use lr_core::config::deterministic_value;
@@ -846,4 +852,43 @@ fn remote_transport_drop_mid_prepare_is_a_clean_error_not_a_wedged_token() {
     insert(2).unwrap();
     assert_eq!(remote.read(table, 1).unwrap().unwrap(), vec![1u8; 8]);
     assert_eq!(remote.read(table, 2).unwrap().unwrap(), vec![2u8; 8]);
+}
+
+#[test]
+fn remote_transport_drop_before_abort_is_a_typed_error_not_a_panic() {
+    use lr_common::{Error, SimClock, TableId};
+    use lr_dc::{remote_loopback, DcApi, DcConfig, WriteIntent, REMOTE_BTREE_BACKEND};
+    use lr_tc::{rollback_txn, TransactionComponent, UndoStats};
+    use lr_wal::Wal;
+
+    let table = TableId(1);
+    let reg = lr_dc::backend("btree").unwrap();
+    let mut disk = lr_storage::SimDisk::new(512, 0, SimClock::new(), IoModel::zero());
+    (reg.format)(&mut disk).unwrap();
+    let wal = Wal::new_shared(4096);
+    let inner = (reg.open)(Box::new(disk), wal.clone(), DcConfig::default()).unwrap();
+    let (remote, transport) = remote_loopback(inner, REMOTE_BTREE_BACKEND);
+    remote.create_table(table).unwrap();
+    let tc = TransactionComponent::new(wal);
+
+    let t0 = tc.begin();
+    let op = remote.prepare_op(table, 1, WriteIntent::Insert { value_len: 8 }).unwrap();
+    let rec = tc.log_insert(t0, table, 1, op.pid, vec![1; 8]).unwrap();
+    remote.apply(op, &rec).unwrap();
+    tc.commit(t0).unwrap();
+    // An update left open, then the connection dies under it.
+    let t1 = tc.begin();
+    let mut op = remote.prepare_op(table, 1, WriteIntent::Update { value_len: 8 }).unwrap();
+    let before = op.before.take().unwrap();
+    let rec = tc.log_update(t1, table, 1, op.pid, before, vec![2; 8]).unwrap();
+    remote.apply(op, &rec).unwrap();
+    transport.disconnect();
+
+    // Undo's exclusive table latch is the first crossing the abort makes:
+    // a typed transport error, not a panic on the caller's thread.
+    let head = tc.last_lsn_of(t1).unwrap();
+    match rollback_txn(&tc, remote.as_ref(), t1, head, &mut UndoStats::default()) {
+        Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
+        other => panic!("expected a broken-pipe error, got {other:?}"),
+    }
 }
