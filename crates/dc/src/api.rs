@@ -331,7 +331,7 @@ pub trait DcApi: DcIntrospect {
     fn verify_table(&self, table: TableId) -> Result<TableSummary>;
 
     // ------------------------------------------------------------------
-    // recovery hooks
+    // recovery
     // ------------------------------------------------------------------
 
     /// DC recovery (§4.2) and redo (Algorithms 1, 2 and 5) in one pass:
