@@ -345,13 +345,12 @@ impl DataComponent {
         });
         let pool = BufferPool::new(disk, cfg.pool_pages, provider);
         let catalog = Catalog::load(&pool)?;
-        let trees = catalog.tables().map(|(t, root)| (t, BTree::attach(t, root))).collect();
         // The catalog read is setup noise, not workload.
         pool.take_events();
-        Ok(DataComponent {
+        let dc = DataComponent {
             pool,
             catalog: Mutex::new(catalog),
-            trees: RwLock::new(trees),
+            trees: RwLock::new(HashMap::new()),
             trackers: TrackerPair::new(cfg.perfect_delta_lsns),
             wal,
             cfg,
@@ -359,7 +358,9 @@ impl DataComponent {
             table_latches: (0..TABLE_LATCHES).map(|_| Latch::new()).collect::<Vec<_>>().into(),
             page_latches: (0..PAGE_LATCHES).map(|_| Latch::new()).collect::<Vec<_>>().into(),
             trace: std::sync::OnceLock::new(),
-        })
+        };
+        dc.attach_placement()?;
+        Ok(dc)
     }
 
     /// Attach the trace journal (set once, at engine build): forwarded to
