@@ -8,6 +8,7 @@
 use crate::dpt::Dpt;
 use lr_common::{Lsn, PageId};
 use lr_wal::{LogPayload, LogRecord};
+use std::collections::HashMap;
 
 /// Which Δ-record interpretation to use (§4.2 and Appendix D).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +40,9 @@ pub struct LogicalAnalysis {
     /// TC-LSN of the last Δ-log record seen — operations at or beyond this
     /// LSN are the "tail of the log" and use the basic fallback (§4.3).
     pub last_delta_tc_lsn: Lsn,
-    /// Prefetch list: first-mention DirtySet PIDs in order (Appendix A.2).
+    /// Prefetch list (Appendix A.2): every DPT page exactly once, placed at
+    /// the Δ that last set its rLSN — where it entered the DPT or where a
+    /// WrittenSet prune raised its rLSN.
     pub pf_list: Vec<PageId>,
     pub counts: AnalysisCounts,
 }
@@ -85,7 +88,7 @@ pub fn build_dpt_logical(
     mode: DeltaDptMode,
 ) -> LogicalAnalysis {
     let mut dpt = Dpt::new();
-    let mut pf_list = Vec::new();
+    let mut pf_list = PfList::default();
     let mut counts = AnalysisCounts::default();
     let mut prev_delta_lsn = rssp_lsn;
 
@@ -125,7 +128,18 @@ pub fn build_dpt_logical(
                 // WrittenSet → pruning.
                 match mode {
                     DeltaDptMode::Standard | DeltaDptMode::Perfect => {
+                        let rlsns: Vec<_> = d
+                            .written_set
+                            .iter()
+                            .filter_map(|pid| Some((*pid, dpt.find(*pid)?.rlsn)))
+                            .collect();
                         dpt.prune_with_written_set(&d.written_set, d.fw_lsn);
+                        // A raised rLSN moves the page's read-ahead to this Δ.
+                        for (pid, rlsn) in rlsns {
+                            if dpt.find(pid).is_some_and(|e| e.rlsn > rlsn) {
+                                pf_list.push(pid);
+                            }
+                        }
                     }
                     DeltaDptMode::Reduced => {
                         // Without FW-LSN we may only prune entries whose
@@ -151,7 +165,31 @@ pub fn build_dpt_logical(
         }
     }
 
+    let pf_list = pf_list.finish(&dpt);
     LogicalAnalysis { dpt, last_delta_tc_lsn: prev_delta_lsn, pf_list, counts }
+}
+
+/// The PF-list under construction: a page pushed again leaves a hole where
+/// its earlier incarnation was, so each page is listed once, at its last
+/// push.
+#[derive(Default)]
+struct PfList {
+    slots: Vec<Option<PageId>>,
+    at: HashMap<PageId, usize>,
+}
+
+impl PfList {
+    fn push(&mut self, pid: PageId) {
+        if let Some(old) = self.at.insert(pid, self.slots.len()) {
+            self.slots[old] = None;
+        }
+        self.slots.push(Some(pid));
+    }
+
+    /// The list over `dpt`'s final pages: pruned-away pages drop out.
+    fn finish(self, dpt: &Dpt) -> Vec<PageId> {
+        self.slots.into_iter().flatten().filter(|pid| dpt.contains(*pid)).collect()
+    }
 }
 
 /// §3.1 — ARIES-style construction: seed from the checkpoint-captured DPT,
@@ -354,5 +392,103 @@ mod tests {
         ];
         let out = build_dpt_logical(&window, Lsn(400), DeltaDptMode::Standard);
         assert_eq!(out.pf_list, vec![PageId(1), PageId(2), PageId(3)]);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use lr_wal::DeltaRecord;
+    use proptest::prelude::*;
+
+    /// One generated Δ interval: DirtySet, WrittenSet, FW-LSN choice,
+    /// FirstDirty, the TC-LSN step and per-page dirty-LSN offsets.
+    type Interval = (Vec<u64>, Vec<u64>, u64, u32, u64, Vec<u64>);
+
+    fn distinct(pids: &[u64]) -> Vec<PageId> {
+        let mut out: Vec<PageId> = Vec::new();
+        for pid in pids {
+            if !out.contains(&PageId(*pid)) {
+                out.push(PageId(*pid));
+            }
+        }
+        out
+    }
+
+    /// A Δ stream over twelve pages, LSNs rising: each interval's FW-LSN
+    /// (when it has one) and dirty LSNs lie inside it.
+    fn stream(intervals: &[Interval]) -> Vec<LogRecord> {
+        let mut prev_tc = 100;
+        let mut out = Vec::new();
+        for (dirty, written, fw, first_dirty, step, offsets) in intervals {
+            let tc = prev_tc + step;
+            let dirty_set = distinct(dirty);
+            let inside = |off: u64| Lsn(prev_tc + 1 + off % step);
+            let dirty_lsns = offsets.iter().take(dirty_set.len()).map(|o| inside(*o)).collect();
+            out.push(LogRecord {
+                lsn: Lsn(tc + 1),
+                payload: LogPayload::Delta(DeltaRecord {
+                    first_dirty: (*first_dirty).min(dirty_set.len() as u32),
+                    dirty_set,
+                    dirty_lsns,
+                    written_set: distinct(written),
+                    fw_lsn: if *fw == 0 { Lsn::NULL } else { inside(*fw) },
+                    tc_lsn: Lsn(tc),
+                }),
+            });
+            prev_tc = tc + 1;
+        }
+        out
+    }
+
+    proptest! {
+        /// The PF-list is a permutation of the DPT's pages, and each page
+        /// sits in the group of the Δ that last set its rLSN: where it
+        /// entered the DPT, or where a prune raised its rLSN. That Δ is
+        /// read off the DPTs of the stream's prefixes, so the list must
+        /// run in non-decreasing order of it.
+        #[test]
+        fn pf_list_is_the_dpt_ordered_by_the_delta_that_set_each_rlsn(
+            intervals in prop::collection::vec(
+                (
+                    prop::collection::vec(0u64..12, 0..6),
+                    prop::collection::vec(0u64..12, 0..6),
+                    0u64..40,
+                    0u32..7,
+                    1u64..40,
+                    prop::collection::vec(0u64..40, 6..7),
+                ),
+                1..12,
+            ),
+            rssp in 0u64..200,
+        ) {
+            let window = stream(&intervals);
+            let rssp = Lsn(rssp);
+            for mode in [DeltaDptMode::Standard, DeltaDptMode::Perfect, DeltaDptMode::Reduced] {
+                let out = build_dpt_logical(&window, rssp, mode);
+                let mut listed = out.pf_list.clone();
+                listed.sort_unstable();
+                let in_dpt: Vec<PageId> = out.dpt.sorted_entries().iter().map(|(p, _)| *p).collect();
+                prop_assert_eq!(listed, in_dpt, "{mode:?}: not a permutation of the DPT");
+
+                let mut set_at: HashMap<PageId, usize> = HashMap::new();
+                let mut before = Dpt::new();
+                for k in 0..window.len() {
+                    let after = build_dpt_logical(&window[..=k], rssp, mode).dpt;
+                    for (pid, e) in after.sorted_entries() {
+                        if before.find(pid).is_none_or(|b| e.rlsn > b.rlsn) {
+                            set_at.insert(pid, k);
+                        }
+                    }
+                    before = after;
+                }
+                let stamps: Vec<usize> = out.pf_list.iter().map(|p| set_at[p]).collect();
+                prop_assert!(
+                    stamps.windows(2).all(|w| w[0] <= w[1]),
+                    "{mode:?}: list {:?} out of Δ order {stamps:?}",
+                    out.pf_list
+                );
+            }
+        }
     }
 }

@@ -38,12 +38,14 @@ use lr_common::{IoModel, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId};
 use lr_obs::{EventKind, RecoveryPhase, TraceSink};
 use lr_wal::{LogPayload, LogRecord, SmoRecord};
 use parking_lot::Mutex;
-use prefetch::{LogDrivenPrefetcher, PfListPrefetcher};
+use prefetch::{ListPrefetcher, LogDrivenPrefetcher};
 
 /// Records to look ahead in log-driven prefetch (SQL2).
 const LOG_DRIVEN_LOOKAHEAD_RECORDS: usize = 128;
-/// Pages to keep in flight in list-driven prefetch (Log2, Log2-dptpf).
-const LIST_AHEAD_PAGES: u64 = 64;
+/// Records past the redo cursor whose LSN paces list-driven prefetch
+/// (Log2, Log2-dptpf): a list entry is issued once its rLSN is at or below
+/// that record's LSN, a tail page once that record reaches it.
+const LIST_HORIZON_RECORDS: usize = 512;
 
 /// How redo finds the page a data record applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -412,7 +414,7 @@ trait RedoSink {
 /// Running read-ahead state.
 enum ReadAhead {
     None,
-    List(PfListPrefetcher),
+    List(ListPrefetcher),
     Log(LogDrivenPrefetcher),
 }
 
@@ -428,12 +430,17 @@ impl<'a> Screen<'a> {
     fn new(plan: &'a RedoPlan) -> Screen<'a> {
         let dpt = plan.dpt.as_ref();
         let read_ahead = match (plan.prefetch, dpt) {
-            (Prefetch::PfList, Some(_)) => {
-                ReadAhead::List(PfListPrefetcher::new(plan.pf_list.clone(), LIST_AHEAD_PAGES))
-            }
-            (Prefetch::DptOrder, Some(dpt)) => {
-                ReadAhead::List(PfListPrefetcher::in_rlsn_order(dpt, LIST_AHEAD_PAGES))
-            }
+            (Prefetch::PfList, Some(dpt)) => ReadAhead::List(ListPrefetcher::new(
+                &plan.pf_list,
+                dpt,
+                plan.tail_from,
+                LIST_HORIZON_RECORDS,
+            )),
+            (Prefetch::DptOrder, Some(dpt)) => ReadAhead::List(ListPrefetcher::in_rlsn_order(
+                dpt,
+                plan.tail_from,
+                LIST_HORIZON_RECORDS,
+            )),
             (Prefetch::LogDriven, Some(_)) => {
                 ReadAhead::Log(LogDrivenPrefetcher::new(LOG_DRIVEN_LOOKAHEAD_RECORDS))
             }
@@ -454,10 +461,16 @@ impl<'a> Screen<'a> {
     ) -> Result<()> {
         let pool = dc.pool();
         let model = pool.disk().io_model();
+        let family = self.family;
         for (i, rec) in window.iter().enumerate() {
             sink.meter().charge(pool, model.cpu_log_record_us, 0);
-            if let (ReadAhead::Log(pf), Some(dpt)) = (&mut self.read_ahead, self.dpt) {
-                pf.pump(pool, window, i, dpt, bk);
+            match (&mut self.read_ahead, self.dpt) {
+                (ReadAhead::Log(pf), Some(dpt)) => pf.pump(pool, window, i, dpt, bk),
+                (ReadAhead::List(pf), _) => {
+                    let resolve = |r: &LogRecord| resolve(family, dc, r, &model, sink.meter());
+                    pf.pump(pool, window, i, resolve, bk)?;
+                }
+                _ => {}
             }
             if let (LogPayload::Smo(_), Family::Physiological) = (&rec.payload, self.family) {
                 sink.smo(rec, self.dpt.expect("physiological methods build a DPT"), bk)?;
@@ -466,42 +479,12 @@ impl<'a> Screen<'a> {
                 continue; // control records never redo
             }
             bk.redo_records_seen += 1;
-            if let (ReadAhead::List(pf), Some(dpt)) = (&mut self.read_ahead, self.dpt) {
-                pf.pump(pool, dpt, pool.stats().data_page_misses, bk);
-            }
-            let pid = self.resolve(dc, rec, &model, sink.meter())?;
+            let pid = resolve(family, dc, rec, &model, sink.meter())?;
             if self.passes(pid, rec.lsn, bk) {
                 sink.redo(i, pid, bk)?;
             }
         }
         Ok(())
-    }
-
-    /// The page a data record applies to: the logged PID, or (logical
-    /// family, Alg. 5 line 4) whatever the backend resolves by key — a
-    /// traversal of internal pages for the B-tree (the leaf is not
-    /// fetched), the logged PID for a page-logical backend.
-    fn resolve(
-        &self,
-        dc: &dyn RedoBackend,
-        rec: &LogRecord,
-        model: &IoModel,
-        meter: &mut Meter,
-    ) -> Result<PageId> {
-        let logged = rec.payload.data_pid().expect("data op carries a PID");
-        if self.family == Family::Physiological {
-            return Ok(logged);
-        }
-        let (table, key) = match &rec.payload {
-            LogPayload::Update { table, key, .. }
-            | LogPayload::Insert { table, key, .. }
-            | LogPayload::Delete { table, key, .. }
-            | LogPayload::Clr { table, key, .. } => (*table, *key),
-            _ => unreachable!("is_data_op checked"),
-        };
-        let loc = dc.resolve_redo_pid(table, key, logged)?;
-        meter.charge(dc.pool(), model.cpu_btree_level_us * loc.levels as u64, loc.stall_us);
-        Ok(loc.pid)
     }
 
     /// The redo test short of the pLSN comparison (which needs the page):
@@ -520,6 +503,33 @@ impl<'a> Screen<'a> {
         }
         false
     }
+}
+
+/// The page a data record applies to: the logged PID, or (logical
+/// family, Alg. 5 line 4) whatever the backend resolves by key — a
+/// traversal of internal pages for the B-tree (the leaf is not
+/// fetched), the logged PID for a page-logical backend.
+fn resolve(
+    family: Family,
+    dc: &dyn RedoBackend,
+    rec: &LogRecord,
+    model: &IoModel,
+    meter: &mut Meter,
+) -> Result<PageId> {
+    let logged = rec.payload.data_pid().expect("data op carries a PID");
+    if family == Family::Physiological {
+        return Ok(logged);
+    }
+    let (table, key) = match &rec.payload {
+        LogPayload::Update { table, key, .. }
+        | LogPayload::Insert { table, key, .. }
+        | LogPayload::Delete { table, key, .. }
+        | LogPayload::Clr { table, key, .. } => (*table, *key),
+        _ => unreachable!("is_data_op checked"),
+    };
+    let loc = dc.resolve_redo_pid(table, key, logged)?;
+    meter.charge(dc.pool(), model.cpu_btree_level_us * loc.levels as u64, loc.stall_us);
+    Ok(loc.pid)
 }
 
 /// The inline sink: survivors applied on the caller's thread, SMO records
