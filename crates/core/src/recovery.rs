@@ -669,7 +669,7 @@ mod tests {
         ),
         (
             RecoveryMethod::Log2,
-            [130316, 20930, 104000, 18000, 2000, 62, 63, 0, 108091, 59, 57, 439, 59, 16, 12, 89],
+            [83940, 20930, 104000, 18000, 2000, 62, 63, 0, 61691, 66, 64, 439, 59, 16, 12, 89],
         ),
         (
             RecoveryMethod::Sql1,
@@ -693,7 +693,7 @@ mod tests {
         ),
         (
             RecoveryMethod::Log2DptPrefetch,
-            [130339, 20930, 104000, 18000, 2000, 62, 63, 0, 108114, 59, 55, 439, 59, 16, 12, 89],
+            [83917, 20930, 104000, 18000, 2000, 62, 63, 0, 61668, 66, 62, 439, 59, 16, 12, 89],
         ),
     ];
 

@@ -641,7 +641,7 @@ const REMOTE_MODELED: [(&str, [u64; 13]); 5] = [
     ("Log0", [340730, 4588, 32000, 1500, 42, 0, 336000, 0, 0, 0, 0, 102, 20]),
     ("Log1", [148730, 4588, 32000, 9500, 18, 0, 144000, 0, 0, 71, 0, 31, 20]),
     ("SQL1", [276608, 4588, 0, 9500, 33, 1, 264000, 0, 0, 32, 5, 71, 20]),
-    ("Log2", [148730, 4588, 32000, 9500, 18, 0, 144000, 0, 0, 71, 0, 31, 20]),
+    ("Log2", [14363, 4588, 32000, 9500, 18, 0, 9582, 18, 3, 71, 0, 31, 20]),
     ("SQL2", [36083, 4588, 0, 9500, 33, 1, 31473, 34, 29, 32, 5, 71, 20]),
 ];
 
@@ -758,12 +758,12 @@ const PAGE_LOGICAL_MODELED: [(&str, &str, [u64; 14]); 10] = [
     ("hash", "Log0", [363110, 3098, 0, 0, 288000, 9500, 45, 0, 0, 0, 0, 0, 110, 12]),
     ("hash", "Log1", [99110, 3098, 0, 0, 416000, 9500, 12, 0, 0, 0, 70, 40, 0, 12]),
     ("hash", "SQL1", [267110, 3098, 0, 0, 256000, 9500, 33, 0, 0, 0, 12, 56, 42, 12]),
-    ("hash", "Log2", [42579, 3098, 0, 0, 416000, 9500, 12, 0, 9, 9, 70, 40, 0, 12]),
+    ("hash", "Log2", [18524, 3098, 0, 0, 416000, 9500, 12, 0, 12, 12, 70, 40, 0, 12]),
     ("hash", "SQL2", [42512, 3098, 0, 0, 256000, 9500, 33, 0, 33, 33, 12, 56, 42, 12]),
     ("log", "Log0", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
     ("log", "Log1", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
     ("log", "SQL1", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
-    ("log", "Log2", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
+    ("log", "Log2", [50597, 3074, 0, 0, 384000, 17500, 45, 0, 45, 45, 0, 0, 0, 122]),
     ("log", "SQL2", [50597, 3074, 0, 0, 384000, 17500, 45, 0, 45, 45, 0, 0, 0, 122]),
 ];
 
