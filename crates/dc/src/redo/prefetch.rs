@@ -4,19 +4,19 @@
 //! A list is not the log, so list-driven read-ahead needs a pace; App. A.2
 //! names the hazard: "if prefetching proceeds too quickly, pages may get
 //! flushed before the redo scan requests them; if it proceeds too slowly,
-//! redo may need to wait". Here the log sets the pace too. Every list
-//! entry carries its page's DPT rLSN, and redo cannot need the page before
-//! its cursor reaches that LSN (the rLSN screen skips every earlier
-//! record). So an entry is issued once its rLSN is at or below the LSN of
-//! the record a fixed horizon ahead of the cursor. Not sooner: a page read
-//! long before redo needs it takes device time that nearer pages wait
-//! for, and a real cache may evict it again before use. Not later: each
-//! read has the horizon's worth of redo to complete behind. The PF-list holds each DPT
+//! redo may need to wait". Here the log sets the pace too. Every list entry
+//! carries its page's DPT rLSN, and redo cannot need the page before its
+//! cursor reaches that LSN (the rLSN screen skips every earlier record). So
+//! an entry is issued once its rLSN is at or below the LSN of the record a
+//! fixed horizon ahead of the cursor. Not sooner: a page read long before
+//! redo needs it takes device time that nearer pages wait for, and a real
+//! cache may evict it again before use. Not later: each read completes
+//! while redo works through the horizon's records. The PF-list holds each DPT
 //! page once, at the Δ that last set its rLSN, so the list runs in near
 //! rLSN order and no stale early copy blocks it. The tail of the log
-//! (§4.3), which no DirtySet covers, is read ahead inside the same
-//! horizon: each tail data record's page is resolved as redo will resolve
-//! it and issued.
+//! (§4.3), which no DirtySet covers, is read ahead inside the same horizon:
+//! each tail data record's page is resolved as redo will resolve it and
+//! issued.
 
 use crate::dpt::{Dpt, DptScreen};
 use lr_buffer::BufferPool;
@@ -147,9 +147,9 @@ impl ListPrefetcher {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{RedoBackend, RedoPlan};
+    use super::super::{redo, Family, Prefetch, RedoBackend, RedoPlan};
     use super::*;
-    use crate::{DataComponent, DcConfig};
+    use crate::{build_dpt_logical, DataComponent, DcConfig, DeltaDptMode};
     use lr_common::{IoModel, SimClock, TableId, TxnId};
     use lr_storage::{Disk, SimDisk};
     use lr_wal::Wal;
@@ -327,10 +327,10 @@ mod tests {
         for (i, (key, pid)) in tail.iter().enumerate() {
             window.push(update_rec(300 + i as u64, *key, *pid));
         }
-        let analysis = crate::build_dpt_logical(&window, Lsn::NULL, crate::DeltaDptMode::Standard);
+        let analysis = build_dpt_logical(&window, Lsn::NULL, DeltaDptMode::Standard);
         let plan = RedoPlan {
-            family: super::super::Family::Logical,
-            prefetch: super::super::Prefetch::PfList,
+            family: Family::Logical,
+            prefetch: Prefetch::PfList,
             preload: true,
             dpt: Some(analysis.dpt),
             tail_from: analysis.last_delta_tc_lsn,
@@ -341,7 +341,7 @@ mod tests {
         dc.preload_index().unwrap();
         let before = dc.pool().disk().stats().sync_page_reads;
         let mut bk = RecoveryBreakdown::default();
-        super::super::redo(&dc, &window, &plan, &mut bk).unwrap();
+        redo(&dc, &window, &plan, &mut bk).unwrap();
         assert_eq!((bk.tail_records, bk.ops_reapplied), (6, 12));
         assert_eq!(bk.data_pages_fetched, 12);
         let sync_reads = dc.pool().disk().stats().sync_page_reads - before;
