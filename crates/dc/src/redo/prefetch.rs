@@ -10,13 +10,12 @@
 //! an entry is issued once its rLSN is at or below the LSN of the record a
 //! fixed horizon ahead of the cursor. Not sooner: a page read long before
 //! redo needs it takes device time that nearer pages wait for, and a real
-//! cache may evict it again before use. Not later: each read completes
-//! while redo works through the horizon's records. The PF-list holds each DPT
-//! page once, at the Δ that last set its rLSN, so the list runs in near
-//! rLSN order and no stale early copy blocks it. The tail of the log
-//! (§4.3), which no DirtySet covers, is read ahead inside the same horizon:
-//! each tail data record's page is resolved as redo will resolve it and
-//! issued.
+//! cache may evict it again before use. Not later: the read overlaps redo's
+//! work on the records in between. The PF-list holds each DPT page once, at
+//! the Δ that last set its rLSN, so the list runs in near rLSN order and no
+//! stale early copy blocks it. The tail of the log (§4.3), which no
+//! DirtySet covers, is read ahead inside the same horizon: each tail data
+//! record's page is resolved as redo will resolve it and issued.
 
 use crate::dpt::{Dpt, DptScreen};
 use lr_buffer::BufferPool;
