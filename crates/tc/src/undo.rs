@@ -2,15 +2,16 @@
 //!
 //! Undo is *logical* in every recovery scheme the paper discusses (ARIES
 //! included): the record to compensate may have moved pages since it was
-//! logged, so undo re-locates it by key through the data component's
-//! placement structure ([`DcApi::locate_key`] — a B-tree descent or a
-//! hash-index lookup, depending on the backend), writes a redo-only CLR,
-//! and applies the compensation (§2.2).
+//! logged, so the TC sends the DC the operation's logical inverse under a
+//! redo-only CLR, through the same write protocol as any other operation
+//! (§2.2, §4): [`DcApi::prepare_op`] re-locates the key and stages the
+//! write (structure modifications included), the CLR is logged at the
+//! prepared page, and [`DcApi::apply`] installs it.
 #![deny(clippy::too_many_lines)]
 
 use crate::tc::TransactionComponent;
 use lr_common::{Lsn, Result, TxnId};
-use lr_dc::DcApi;
+use lr_dc::{DcApi, WriteIntent};
 use lr_wal::{ClrAction, LogPayload};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,11 +25,11 @@ pub struct UndoStats {
     pub ops_undone: u64,
     /// Log records visited (random-access reads into the log).
     pub log_records_visited: u64,
-    /// Simulated busy µs of this pass, accumulated per worker exactly as
-    /// the redo workers do: traversal CPU (per B-tree level), the apply
-    /// CPU charge, this worker's own device stalls (index and leaf
-    /// fetches), and one random log read per record visited. For a merged
-    /// parallel result this is the **sum** across workers (device view).
+    /// Simulated busy µs of this pass, accumulated per worker: one random
+    /// log read per record visited and the apply CPU charge per
+    /// compensation. The compensations' page fetches happen DC-side and
+    /// land on the shared device clock, not here. For a merged parallel
+    /// result this is the **sum** across workers (device view).
     pub busy_us: u64,
     /// Busiest single worker's `busy_us` — the max-of-workers wall-clock
     /// of a parallel undo pass. Equals `busy_us` after a serial pass.
@@ -65,6 +66,15 @@ pub fn rollback_to_savepoint(
     Ok(())
 }
 
+/// The write that installs a CLR's action, as the DC stages it.
+fn inverse_intent(action: &ClrAction) -> WriteIntent {
+    match action {
+        ClrAction::RestoreValue(v) => WriteIntent::Update { value_len: v.len() },
+        ClrAction::InsertValue(v) => WriteIntent::Insert { value_len: v.len() },
+        ClrAction::RemoveKey => WriteIntent::Delete,
+    }
+}
+
 /// Walk `txn`'s undo chain from `from_lsn`, compensating each operation,
 /// until reaching `stop_at` (exclusive) or the Begin record.
 fn undo_chain(
@@ -77,9 +87,9 @@ fn undo_chain(
 ) -> Result<()> {
     let wal = dc.wal();
     // Per-worker busy accounting, mirroring the redo workers: this chain's
-    // traversal CPU, its own device stalls, and its random log reads land
-    // in `stats.busy_us` so a parallel pass can report max-of-workers
-    // wall-clock instead of the shared-clock sum-of-workers bound.
+    // random log reads and apply CPU land in `stats.busy_us` so a parallel
+    // pass can report max-of-workers wall-clock instead of the
+    // shared-clock sum-of-workers bound.
     let model = dc.pool().disk().io_model();
     let mut cur = from_lsn;
     while !cur.is_null() && cur != stop_at {
@@ -109,34 +119,15 @@ fn undo_chain(
             }
         };
         debug_assert_eq!(t, txn);
-        // Compensation under the exclusive table latch: relocation, CLR
-        // logging and application must see one placement shape even with
-        // other sessions running.
-        let _latch = dc.lock_table_exclusive(table)?;
-        // Logical re-location: find (and warm) the page that now holds the
-        // key, keeping the device time on *this* worker's shard.
-        let loc = dc.locate_key(table, key)?;
-        stats.busy_us +=
-            model.cpu_btree_level_us * loc.levels as u64 + loc.stall_us + model.cpu_apply_us;
-        let pid = match &action {
-            // Re-inserting or re-growing a value may need page space the
-            // page no longer has (a neighbour may have used what the
-            // operation freed): stage through the DC so any SMO is logged
-            // as usual, before the CLR, on the path the locate just warmed.
-            ClrAction::InsertValue(v) => {
-                let intent = lr_dc::WriteIntent::Insert { value_len: v.len() };
-                dc.prepare_write(table, key, intent)?.pid
-            }
-            ClrAction::RestoreValue(v) => {
-                let intent = lr_dc::WriteIntent::Update { value_len: v.len() };
-                dc.prepare_write(table, key, intent)?.pid
-            }
-            ClrAction::RemoveKey => loc.pid,
-        };
-        let clr = tc.log_clr(txn, table, key, pid, prev_lsn, action);
-        dc.apply_at(pid, &clr)?;
-        drop(_latch);
-        dc.pump_events();
+        // The compensation is an ordinary write of the logical inverse:
+        // prepare re-locates the key (it may have moved since it was
+        // logged) and stages any room a re-grown value needs, the CLR is
+        // logged at the prepared page, and apply installs it under the
+        // prepare's latches.
+        let op = dc.prepare_op(table, key, inverse_intent(&action))?;
+        let clr = tc.log_clr(txn, table, key, op.pid, prev_lsn, action);
+        dc.apply(op, &clr)?;
+        stats.busy_us += model.cpu_apply_us;
         stats.ops_undone += 1;
         cur = prev_lsn;
     }
