@@ -708,19 +708,14 @@ fn remote_recovery_crossings_are_pinned_per_method() {
     // Every method at either worker count: DC recovery is one redo call —
     // SMO redo or the catalog reload, the preload, redo with its SMO
     // replay and partitioned workers, the index rebuild all run DC-side —
-    // then the two compensations' locate / latch / apply / pump (the
-    // restored value staged through prepare_write first), the closing
-    // checkpoint.
+    // then the two compensations, each an ordinary write (prepare_op +
+    // apply), and the closing checkpoint.
     let ops = vec![
-        ("apply_at", 2),
+        ("apply", 2),
         ("drain_in_flight_ops", 1),
         ("eosl", 2),
-        ("locate_key", 2),
-        ("lock_table_exclusive", 2),
-        ("prepare_write", 1),
-        ("pump_events", 2),
+        ("prepare_op", 2),
         ("redo", 1),
-        ("release_table", 2),
         ("rssp", 1),
     ];
     for method in RecoveryMethod::all() {
