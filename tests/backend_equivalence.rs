@@ -755,11 +755,11 @@ const PAGE_LOGICAL_MODELED: [(&str, &str, [u64; 14]); 10] = [
     ("hash", "SQL1", [267110, 3098, 0, 0, 256000, 9500, 33, 0, 0, 0, 12, 56, 42, 12]),
     ("hash", "Log2", [18524, 3098, 0, 0, 416000, 9500, 12, 0, 12, 12, 70, 40, 0, 12]),
     ("hash", "SQL2", [42512, 3098, 0, 0, 256000, 9500, 33, 0, 33, 33, 12, 56, 42, 12]),
-    ("log", "Log0", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
-    ("log", "Log1", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
-    ("log", "SQL1", [363196, 3074, 0, 0, 384000, 17500, 45, 0, 0, 0, 0, 0, 0, 122]),
-    ("log", "Log2", [50597, 3074, 0, 0, 384000, 17500, 45, 0, 45, 45, 0, 0, 0, 122]),
-    ("log", "SQL2", [50597, 3074, 0, 0, 384000, 17500, 45, 0, 45, 45, 0, 0, 0, 122]),
+    ("log", "Log0", [363196, 3074, 0, 0, 384000, 1500, 45, 0, 0, 0, 0, 0, 0, 122]),
+    ("log", "Log1", [363196, 3074, 0, 0, 384000, 1500, 45, 0, 0, 0, 0, 0, 0, 122]),
+    ("log", "SQL1", [363196, 3074, 0, 0, 384000, 1500, 45, 0, 0, 0, 0, 0, 0, 122]),
+    ("log", "Log2", [50597, 3074, 0, 0, 384000, 1500, 45, 0, 45, 45, 0, 0, 0, 122]),
+    ("log", "SQL2", [50597, 3074, 0, 0, 384000, 1500, 45, 0, 45, 45, 0, 0, 0, 122]),
 ];
 
 #[test]
