@@ -22,8 +22,10 @@
 //!   backend strictly fewer log + page-write bytes than the B-tree;
 //! * the crossing counts — a committed 10-update transaction through a
 //!   proxy is exactly 10 `PrepareOp` + 10 `Apply` + 1 `Eosl` and no
-//!   `ReleaseOp`, and a recovery's crossings per op are pinned per method
-//!   (all of DC recovery is one `redo` call, run server-side);
+//!   `ReleaseOp`, an aborted one 20 `PrepareOp` + 20 `Apply` (each
+//!   compensation is an ordinary write), and a recovery's crossings per
+//!   op are pinned per method (all of DC recovery is one `redo` call, run
+//!   server-side);
 //! * the modeled pins — serial recovery's modeled breakdown per method
 //!   for one fixed crash, on `remote:btree`, `hash` and `log`;
 //! * the undo re-grow probe — a value a loser shrank, whose freed space a
@@ -579,10 +581,10 @@ fn wire_counts(engine: &Engine) -> std::collections::BTreeMap<&'static str, u64>
     snap.ops.iter().map(|o| (o.name(), o.count)).collect()
 }
 
-/// The seed-exact cost of a §5.2 transaction through the proxy: each
-/// update is PrepareOp + Apply (the guard release rides on the apply), the
-/// commit is one EOSL. A pipelining change must beat 21.
-fn assert_ten_update_transaction_is_21_crossings(backend: &str) {
+/// The crossings one 10-update Session transaction makes through
+/// `backend`'s proxy, ending in a commit or (with `abort`) an abort, as
+/// per-op deltas; asserts no write was abandoned (no `release_op`).
+fn ten_update_transaction_crossings(backend: &str, abort: bool) -> Vec<(&'static str, u64)> {
     let engine = Engine::build(config_for(backend)).unwrap().into_shared();
     let vsize = engine.config().row_value_size;
     let mut session = engine.session();
@@ -591,15 +593,26 @@ fn assert_ten_update_transaction_is_21_crossings(backend: &str) {
     for k in 0..10u64 {
         session.update(k * 7, deterministic_value(k * 7, 1, vsize)).unwrap();
     }
-    session.commit().unwrap();
+    if abort {
+        session.abort().unwrap();
+    } else {
+        session.commit().unwrap();
+    }
     let after = wire_counts(&engine);
-    let delta: Vec<(&str, u64)> = after
+    assert!(!after.contains_key("release_op"), "{backend}: no write was abandoned");
+    after
         .iter()
         .map(|(op, n)| (*op, n - before.get(op).copied().unwrap_or(0)))
         .filter(|(_, n)| *n > 0)
-        .collect();
+        .collect()
+}
+
+/// The seed-exact cost of a §5.2 transaction through the proxy: each
+/// update is PrepareOp + Apply (the guard release rides on the apply), the
+/// commit is one EOSL. A pipelining change must beat 21.
+fn assert_ten_update_transaction_is_21_crossings(backend: &str) {
+    let delta = ten_update_transaction_crossings(backend, false);
     assert_eq!(delta, [("apply", 10), ("eosl", 1), ("prepare_op", 10)], "{backend}");
-    assert!(!after.contains_key("release_op"), "{backend}: no write was abandoned");
 }
 
 #[test]
@@ -612,6 +625,17 @@ fn remote_committed_transaction_is_two_crossings_per_write_plus_the_eosl() {
 #[test]
 fn tcp_committed_transaction_is_two_crossings_per_write_plus_the_eosl() {
     assert_ten_update_transaction_is_21_crossings("tcp:btree");
+}
+
+/// Undo is an ordinary write: aborting the same 10-update transaction
+/// compensates each update with one more PrepareOp + Apply, and nothing
+/// else crosses — no table latch, no relocation, no separate pump.
+#[test]
+fn remote_aborted_transaction_is_two_crossings_per_compensation() {
+    for backend in REMOTE_BACKENDS.into_iter().chain(["tcp:btree"]) {
+        let delta = ten_update_transaction_crossings(backend, true);
+        assert_eq!(delta, [("apply", 20), ("prepare_op", 20)], "{backend}");
+    }
 }
 
 /// The pinned breakdown fields, in `REMOTE_MODELED` column order.
