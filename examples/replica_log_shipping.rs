@@ -7,15 +7,14 @@
 //! The primary runs 4 KiB pages on a simulated disk; the replica runs
 //! **1 KiB pages on a real file**. Because the shipped records are logical
 //! (`table`, `key`, images — the piggybacked PIDs are ignored), the replica
-//! applies them through its own B-tree and converges to the same logical
-//! contents in a completely different physical layout.
+//! — an ordinary engine started from the same bulk-loaded snapshot —
+//! replays each committed transaction through its own B-tree and converges
+//! to the same logical contents in a completely different physical layout.
 
-use lr_common::{Lsn, TxnId};
+use lr_common::Lsn;
 use lr_core::replica::apply_committed_ops;
 use lr_core::{Engine, EngineConfig, DEFAULT_TABLE};
-use lr_dc::{DataComponent, DcConfig, WriteIntent};
 use lr_storage::FileDisk;
-use lr_wal::{LogPayload, LogRecord, Wal};
 
 fn main() -> lr_common::Result<()> {
     // ---- primary: 4 KiB pages, in-memory simulated disk ----
@@ -42,33 +41,12 @@ fn main() -> lr_common::Result<()> {
     println!("primary: committed 1 txn ({} updates + 1 insert), aborted 1", 5_000 / 7 + 1);
 
     // ---- replica: 1 KiB pages on a real file ----
+    // Bootstrapped from the primary's initial snapshot: a real deployment
+    // ships a base backup; here the bulk-loaded rows are derivable.
     let path = std::env::temp_dir().join(format!("lr-replica-{}.db", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut disk = FileDisk::create(&path, 1024, 0)?;
-    DataComponent::format_disk(&mut disk)?;
-    let replica_wal = Wal::new_shared(4096);
-    let replica = DataComponent::open(Box::new(disk), replica_wal, DcConfig::default())?;
-    replica.create_table(DEFAULT_TABLE)?;
-
-    // Bootstrap the replica from the primary's initial snapshot (a real
-    // deployment ships a base backup; here the loaded rows are derivable).
-    for k in 0..initial_rows {
-        let v = cfg.initial_value(k);
-        let info =
-            replica.prepare_write(DEFAULT_TABLE, k, WriteIntent::Insert { value_len: v.len() })?;
-        let rec = LogRecord {
-            lsn: Lsn(1),
-            payload: LogPayload::Insert {
-                txn: TxnId(0),
-                table: DEFAULT_TABLE,
-                key: k,
-                pid: info.pid,
-                prev_lsn: Lsn::NULL,
-                value: v,
-            },
-        };
-        replica.apply_at(info.pid, &rec)?;
-    }
+    let disk = FileDisk::create(&path, 1024, 0)?;
+    let replica = Engine::build_on_disk(Box::new(disk), EngineConfig { page_size: 1024, ..cfg })?;
     println!(
         "replica: bootstrapped {} rows on 1 KiB pages (file: {})",
         initial_rows,
@@ -78,17 +56,16 @@ fn main() -> lr_common::Result<()> {
     // ---- ship the log ----
     let records = primary.wal().lock().scan_from(Lsn::NULL)?;
     let applied = apply_committed_ops(&replica, &records)?;
-    replica.pool().flush_all()?;
+    replica.checkpoint()?;
     println!("shipped {} log records; applied {applied} committed logical ops", records.len());
 
     // ---- verify convergence ----
     let primary_rows = primary.scan_table(DEFAULT_TABLE)?;
-    let tree = replica.tree(DEFAULT_TABLE)?.clone();
-    let replica_rows = tree.scan_all(replica.pool())?;
+    let replica_rows = replica.scan_table(DEFAULT_TABLE)?;
     assert_eq!(primary_rows, replica_rows, "replica diverged!");
 
     let p_summary = primary.verify_table(DEFAULT_TABLE)?;
-    let r_summary = lr_btree::verify_tree(&tree, replica.pool())?;
+    let r_summary = replica.verify_table(DEFAULT_TABLE)?;
     println!("converged: {} identical rows", primary_rows.len());
     println!(
         "  primary : {} leaf pages, {} internal, height {} (4 KiB pages)",
