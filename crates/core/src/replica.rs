@@ -74,7 +74,7 @@ pub fn apply_committed_ops(replica: &Engine, records: &[LogRecord]) -> Result<u6
 /// transaction, aborting it if any write fails.
 fn replay(replica: &Engine, net: NetEffect) -> Result<u64> {
     let txn = replica.begin()?;
-    let mut write = |(table, key): (TableId, Key), image: Option<Value>| -> Result<u64> {
+    let write = |(table, key): (TableId, Key), image: Option<Value>| -> Result<u64> {
         match (replica.read(table, key)?, image) {
             (Some(cur), Some(v)) if cur == v => Ok(0),
             (Some(_), Some(v)) => replica.update_in(txn, table, key, v).map(|_| 1),

@@ -6,8 +6,10 @@
 //! addressed by `(table, key)`, the prepare → log → apply write protocol,
 //! and a handful of control operations (EOSL, RSSP, crash, recovery
 //! hooks). [`DcApi`] *is* that interface — the engine, the recovery
-//! drivers, undo, maintenance and the replica path all hold
-//! `Arc<dyn DcApi>` and never name a concrete data component.
+//! drivers, undo and maintenance all hold `Arc<dyn DcApi>` and never name
+//! a concrete data component. Undo is no exception: a compensation is the
+//! logical inverse of an operation, staged, logged as a CLR and applied
+//! through the same write protocol (§2.2, §4).
 //!
 //! Three backends implement it:
 //!
@@ -32,12 +34,9 @@
 //!   under the guard and releases it before returning — on success and on
 //!   error. A prepare abandoned before apply (logging failed) releases by
 //!   drop. Per-page apply order must equal log order, and every apply
-//!   stamps the page LSN, so the pLSN redo test stays sound.
-//! * **LSN rules**: `apply_at(pid, rec)` installs `rec`'s effect under
-//!   `rec.lsn` with *no* redo test — callers (recovery) run their own
-//!   DPT/rLSN/pLSN screens first. Structure modifications are logged as
-//!   redo-only SMO system transactions before the data record that
-//!   depends on them.
+//!   stamps the page LSN, so the pLSN redo test stays sound. Structure
+//!   modifications are logged as redo-only SMO system transactions before
+//!   the data record that depends on them.
 //! * **Control-op ordering**: `eosl` publishes the TC's end-of-stable-log
 //!   (the write-ahead gate the cache enforces before flushing);
 //!   [`DcApi::rssp`] must flush every page dirtied before the announced
@@ -135,17 +134,6 @@ impl<'a> PreparedOp<'a> {
     }
 }
 
-/// An exclusive (or shared) table latch held through the trait — opaque so
-/// each backend keeps its own latch type. `Send` for the same reason as
-/// [`PreparedOp`]'s guard.
-pub struct TableGuard<'a>(#[allow(dead_code)] Box<dyn Send + 'a>);
-
-impl<'a> TableGuard<'a> {
-    pub fn new(guard: impl Send + 'a) -> TableGuard<'a> {
-        TableGuard(Box::new(guard))
-    }
-}
-
 /// Backend-generic structural summary of one table (the shape
 /// verification walks report).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -158,21 +146,6 @@ pub struct TableSummary {
     pub internal_pages: u64,
     /// B-tree height, or the longest bucket chain for a hash backend.
     pub height: u32,
-}
-
-/// Where a `(table, key)` pair resolves for redo / undo, with the
-/// simulated cost of finding out.
-#[derive(Clone, Copy, Debug)]
-pub struct Located {
-    /// The page the operation should be tested/applied at.
-    pub pid: PageId,
-    /// Index levels touched by the resolution (0 for an O(1) lookup) —
-    /// charged at `IoModel::cpu_btree_level_us` per level by callers.
-    pub levels: u32,
-    /// Device stall µs the resolution itself incurred (cold index pages,
-    /// leaf warm-up) — already charged to the shared device, returned so
-    /// per-worker busy shards can attribute it.
-    pub stall_us: u64,
 }
 
 /// Narrow observability facet of a data component: stats, tuning and the
@@ -232,28 +205,18 @@ pub trait DcApi: DcIntrospect {
     // ------------------------------------------------------------------
 
     /// Stage a write with the backend's full concurrency discipline:
-    /// returns the placement PID and before-image, with latches held by
-    /// the guard so the placement stays valid until [`DcApi::apply`]
-    /// consumes the op.
+    /// perform any needed structure modifications (logged as redo-only
+    /// SMO system transactions) and return the placement PID and
+    /// before-image, with latches held by the guard so the placement
+    /// stays valid until [`DcApi::apply`] consumes the op. Undo stages a
+    /// compensation here too, with the inverse operation's intent.
     fn prepare_op(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PreparedOp<'_>>;
 
-    /// Latch-free staging (single-threaded callers — recovery, replicas —
-    /// or callers already holding [`DcApi::lock_table_exclusive`]):
-    /// perform any needed structure modifications (logged as redo-only
-    /// SMO system transactions), locate the target page, read the
-    /// before-image.
-    fn prepare_write(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PrepareInfo>;
-
-    /// Apply a logged data operation to the page named by the record (the
-    /// normal-execution path) under the guard of the `op` that staged it;
-    /// stamps the page with `rec.lsn`. The guard is released when this
-    /// returns, whether the apply succeeded or not.
+    /// Apply a logged data operation or CLR to the page named by the
+    /// record under the guard of the `op` that staged it; stamps the page
+    /// with `rec.lsn` and pumps the cache events it raised. The guard is
+    /// released when this returns, whether the apply succeeded or not.
     fn apply(&self, op: PreparedOp<'_>, rec: &LogRecord) -> Result<()>;
-
-    /// Apply `rec`'s operation to `pid` under `rec.lsn`, with **no redo
-    /// test** — callers (recovery paths) run their own screens. Shared by
-    /// normal execution and every recovery method.
-    fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()>;
 
     // ------------------------------------------------------------------
     // control operations (§4.1)
@@ -321,11 +284,6 @@ pub trait DcApi: DcIntrospect {
     /// The placement anchor of `table`.
     fn table_root(&self, table: TableId) -> Result<PageId>;
 
-    /// Exclusive table latch (undo relocation, external SMO-capable
-    /// flows): while held, no other writer can move records of `table`.
-    /// Fails only when the DC cannot be reached (a dead transport).
-    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>>;
-
     /// Walk `table`'s whole structure, checking the backend's invariants
     /// (ordering, linkage, placement function) and summarizing its shape.
     fn verify_table(&self, table: TableId) -> Result<TableSummary>;
@@ -345,12 +303,6 @@ pub trait DcApi: DcIntrospect {
     /// phase journals its own span. Returns the pass's breakdown shard
     /// ([`RecoveryBreakdown::redo_shard_mut`]).
     fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown>;
-
-    /// Locate the page currently (or prospectively) holding `key` for
-    /// undo compensation — logical re-location, since the record may have
-    /// moved since it was logged (§2.2). Callers must hold
-    /// [`DcApi::lock_table_exclusive`].
-    fn locate_key(&self, table: TableId, key: Key) -> Result<Located>;
 
     // ------------------------------------------------------------------
     // lifecycle / observability
@@ -400,9 +352,8 @@ mod tests {
     /// The server-held-token deployment depends on prepared ops being
     /// movable across threads.
     #[test]
-    fn prepared_op_and_table_guard_are_send() {
+    fn prepared_op_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<PreparedOp<'static>>();
-        assert_send::<TableGuard<'static>>();
     }
 }

@@ -30,10 +30,10 @@
 //! latches above — each page hop is seqlock-validated against the pool's
 //! per-frame version counters (see the version-counter discipline in
 //! `lr_buffer::pool`), and any validation failure, cold page or racing SMO
-//! falls back to the latched path, which stays authoritative. Writers,
-//! undo relocation and SMO flows are unchanged: they still hold the table
-//! latch, and their frame-latch acquisitions are what bump the versions
-//! optimistic readers validate against.
+//! falls back to the latched path, which stays authoritative. Writers
+//! (undo's compensations among them) and SMO flows are unchanged: they
+//! still hold the table latch, and their frame-latch acquisitions are
+//! what bump the versions optimistic readers validate against.
 //!
 //! **Optimistic write path** (`DcConfig::optimistic_writes`): prepare_op
 //! first attempts an OLC descent under the *shared* table latch — the
@@ -48,15 +48,15 @@
 //! descent so evicted frame cells they may still dereference are parked on
 //! the limbo list instead of being recycled under them.
 
-use crate::api::{DcApi, DcIntrospect, Located, PreparedOp, TableGuard, TableSummary};
+use crate::api::{DcApi, DcIntrospect, PreparedOp, TableSummary};
 use crate::catalog::{Catalog, META_PAGE};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
-use crate::redo::{RedoBackend, RedoPlan};
+use crate::redo::{Located, RedoBackend, RedoPlan};
 use crate::trackers::TrackerPair;
 use lr_btree::BTree;
 use lr_buffer::BufferPool;
-use lr_common::latch::{Latch, LatchReadGuard, LatchWriteGuard};
+use lr_common::latch::{Latch, LatchReadGuard};
 use lr_common::{Error, Histogram, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId, Value};
 use lr_obs::{EventKind, TraceSink};
 use lr_storage::{Disk, SLOT_SIZE};
@@ -404,11 +404,6 @@ impl DataComponent {
         for latch in self.table_latches.iter() {
             drop(latch.write());
         }
-    }
-
-    /// Exclusive table latch (undo relocation, external SMO-capable flows).
-    pub fn lock_table_exclusive(&self, table: TableId) -> LatchWriteGuard<'_> {
-        self.table_latch(table).write()
     }
 
     // ------------------------------------------------------------------
@@ -762,8 +757,7 @@ impl DataComponent {
     /// The returned PID is piggybacked on the TC's log record; `before`
     /// feeds the record's undo information. Latch-free: concurrent callers
     /// must either hold the table latch exclusively (see
-    /// [`DataComponent::prepare_op`]) or be running single-threaded
-    /// (recovery, replicas).
+    /// [`DataComponent::prepare_op`]) or be running single-threaded.
     pub fn prepare_write(
         &self,
         table: TableId,
@@ -1026,16 +1020,6 @@ impl DataComponent {
     // resolution / verification (the DcApi recovery hooks)
     // ------------------------------------------------------------------
 
-    /// Undo re-location: traverse to the leaf currently holding `key` and
-    /// warm it, so the caller's compensation applies against a resident
-    /// page and the device stalls land on the calling worker's shard.
-    pub fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
-        let tree = self.tree(table)?;
-        let (pid, levels, stall_us) = tree.find_leaf_pid_timed(&self.pool, key)?;
-        let (_, info) = self.pool.with_page_info(pid, |_| ())?;
-        Ok(Located { pid, levels, stall_us: stall_us + info.stall_us })
-    }
-
     /// Structural verification: key ordering, separator bracketing,
     /// uniform leaf depth and sibling-chain consistency.
     pub fn verify_table(&self, table: TableId) -> Result<TableSummary> {
@@ -1090,17 +1074,9 @@ impl DcApi for DataComponent {
         DataComponent::prepare_op(self, table, key, intent)
     }
 
-    fn prepare_write(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PrepareInfo> {
-        DataComponent::prepare_write(self, table, key, intent)
-    }
-
     fn apply(&self, _op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
         // `_op`'s latches drop on return — after the apply they protect.
         DataComponent::apply(self, rec)
-    }
-
-    fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {
-        DataComponent::apply_at(self, pid, rec)
     }
 
     fn eosl(&self, elsn: Lsn) {
@@ -1143,20 +1119,12 @@ impl DcApi for DataComponent {
         DataComponent::table_root(self, table)
     }
 
-    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>> {
-        Ok(TableGuard::new(DataComponent::lock_table_exclusive(self, table)))
-    }
-
     fn verify_table(&self, table: TableId) -> Result<TableSummary> {
         DataComponent::verify_table(self, table)
     }
 
     fn redo(&self, window: &[LogRecord], plan: &RedoPlan) -> Result<RecoveryBreakdown> {
         crate::redo::run(self, window, plan)
-    }
-
-    fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
-        DataComponent::locate_key(self, table, key)
     }
 
     fn set_trace(&self, sink: TraceSink) {
@@ -1188,6 +1156,10 @@ impl RedoBackend for DataComponent {
         let tree = self.tree(table)?;
         let (pid, levels, stall_us) = tree.find_leaf_pid_timed(&self.pool, key)?;
         Ok(Located { pid, levels, stall_us })
+    }
+
+    fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {
+        DataComponent::apply_at(self, pid, rec)
     }
 
     fn replay_smo_screened(

@@ -45,12 +45,12 @@
 //! reclamation epoch so evicted frame cells they may still validate wait
 //! on the pool's limbo list.
 
-use crate::api::{DcApi, DcIntrospect, Located, PreparedOp, TableGuard, TableSummary};
+use crate::api::{DcApi, DcIntrospect, PreparedOp, TableSummary};
 use crate::catalog::{Catalog, META_PAGE};
 use crate::dc::{DcConfig, DcCounters, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
-use crate::redo::{RedoBackend, RedoPlan};
+use crate::redo::{Located, RedoBackend, RedoPlan};
 use crate::trackers::TrackerPair;
 use lr_btree::node::{leaf_record, parse_leaf_record, search};
 use lr_btree::{internal_entry, parse_internal_entry};
@@ -676,10 +676,6 @@ impl DcApi for HashDc {
         Ok(PreparedOp::new(info.pid, info.before, t))
     }
 
-    fn prepare_write(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PrepareInfo> {
-        self.prepare_locked(table, key, intent)
-    }
-
     fn apply(&self, _op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
         // `_op`'s table latch drops on return — after the apply.
         let pid = rec
@@ -689,32 +685,6 @@ impl DcApi for HashDc {
         self.apply_at(pid, rec)?;
         self.pump_events();
         Ok(())
-    }
-
-    fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {
-        match &rec.payload {
-            LogPayload::Update { table, key, after, .. } => {
-                self.apply_data(*table, *key, pid, rec.lsn, DataOp::Update(after))
-            }
-            LogPayload::Insert { table, key, value, .. } => {
-                self.apply_data(*table, *key, pid, rec.lsn, DataOp::Insert(value))
-            }
-            LogPayload::Delete { table, key, .. } => {
-                self.apply_data(*table, *key, pid, rec.lsn, DataOp::Delete)
-            }
-            LogPayload::Clr { table, key, action, .. } => match action {
-                ClrAction::RestoreValue(v) => {
-                    self.apply_data(*table, *key, pid, rec.lsn, DataOp::Update(v))
-                }
-                ClrAction::RemoveKey => self.apply_data(*table, *key, pid, rec.lsn, DataOp::Delete),
-                ClrAction::InsertValue(v) => {
-                    self.apply_data(*table, *key, pid, rec.lsn, DataOp::Insert(v))
-                }
-            },
-            other => {
-                Err(Error::RecoveryInvariant(format!("apply_at of non-data payload {other:?}")))
-            }
-        }
     }
 
     fn eosl(&self, elsn: Lsn) {
@@ -818,10 +788,6 @@ impl DcApi for HashDc {
         self.catalog.lock().root_of(table)
     }
 
-    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>> {
-        Ok(TableGuard::new(self.table_latch(table).write()))
-    }
-
     fn verify_table(&self, table: TableId) -> Result<TableSummary> {
         let _t = self.table_latch(table).read();
         let tables = self.tables.read();
@@ -884,19 +850,6 @@ impl DcApi for HashDc {
         crate::redo::run(self, window, plan)
     }
 
-    fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
-        let pid = match self.index_pid(table, key)? {
-            Some(pid) => pid,
-            None => {
-                let tables = self.tables.read();
-                let tm = tables.get(&table).ok_or(Error::UnknownTable(table))?;
-                tm.heads[bucket_of(key, tm.heads.len())]
-            }
-        };
-        let (_, info) = self.pool.with_page_info(pid, |_| ())?;
-        Ok(Located { pid, levels: 0, stall_us: info.stall_us })
-    }
-
     fn set_trace(&self, sink: lr_obs::TraceSink) {
         self.pool.set_trace(sink);
     }
@@ -920,6 +873,32 @@ impl RedoBackend for HashDc {
         // operation. No traversal, no index dependency — the volatile
         // index is rebuilt from chains, not consulted, during redo.
         Ok(Located { pid: logged_pid, levels: 0, stall_us: 0 })
+    }
+
+    fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {
+        match &rec.payload {
+            LogPayload::Update { table, key, after, .. } => {
+                self.apply_data(*table, *key, pid, rec.lsn, DataOp::Update(after))
+            }
+            LogPayload::Insert { table, key, value, .. } => {
+                self.apply_data(*table, *key, pid, rec.lsn, DataOp::Insert(value))
+            }
+            LogPayload::Delete { table, key, .. } => {
+                self.apply_data(*table, *key, pid, rec.lsn, DataOp::Delete)
+            }
+            LogPayload::Clr { table, key, action, .. } => match action {
+                ClrAction::RestoreValue(v) => {
+                    self.apply_data(*table, *key, pid, rec.lsn, DataOp::Update(v))
+                }
+                ClrAction::RemoveKey => self.apply_data(*table, *key, pid, rec.lsn, DataOp::Delete),
+                ClrAction::InsertValue(v) => {
+                    self.apply_data(*table, *key, pid, rec.lsn, DataOp::Insert(v))
+                }
+            },
+            other => {
+                Err(Error::RecoveryInvariant(format!("apply_at of non-data payload {other:?}")))
+            }
+        }
     }
 
     fn replay_smo_screened(

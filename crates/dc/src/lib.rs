@@ -44,7 +44,7 @@ pub mod telemetry;
 pub mod trackers;
 pub mod wire;
 
-pub use api::{DcApi, DcIntrospect, Located, OpGuard, PreparedOp, TableGuard, TableSummary};
+pub use api::{DcApi, DcIntrospect, OpGuard, PreparedOp, TableSummary};
 pub use backend::{
     backend, backend_names, backends, Backend, BTREE_BACKEND, HASH_BACKEND, LOG_BACKEND,
     REMOTE_BTREE_BACKEND, REMOTE_HASH_BACKEND, REMOTE_LOG_BACKEND, TCP_BTREE_BACKEND,

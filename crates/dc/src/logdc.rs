@@ -47,12 +47,12 @@
 //! pages in place. The compactor takes the exclusive table latch for
 //! each table's pass, so it can never race a writer into a lost update.
 
-use crate::api::{DcApi, DcIntrospect, Located, PreparedOp, TableGuard, TableSummary};
+use crate::api::{DcApi, DcIntrospect, PreparedOp, TableSummary};
 use crate::catalog::{Catalog, META_PAGE};
 use crate::dc::{DcConfig, DcCounters, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
-use crate::redo::{RedoBackend, RedoPlan};
+use crate::redo::{Located, RedoBackend, RedoPlan};
 use crate::trackers::TrackerPair;
 use lr_btree::node::{leaf_record, parse_leaf_record};
 use lr_buffer::BufferPool;
@@ -842,10 +842,6 @@ impl DcApi for LogDc {
         Ok(PreparedOp::new(info.pid, info.before, t))
     }
 
-    fn prepare_write(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PrepareInfo> {
-        self.prepare_locked(table, key, intent)
-    }
-
     fn apply(&self, _op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
         // `_op`'s table latch drops on return — after the apply.
         let pid = rec
@@ -855,15 +851,6 @@ impl DcApi for LogDc {
         self.apply_at(pid, rec)?;
         self.pump_events();
         Ok(())
-    }
-
-    fn apply_at(&self, _pid: PageId, rec: &LogRecord) -> Result<()> {
-        // The PID is routing metadata (the key's stub); the store itself
-        // is the log record, so application is pure index maintenance.
-        let (table, key, op) = index_op(&rec.payload).ok_or_else(|| {
-            Error::RecoveryInvariant(format!("apply_at of non-data payload {:?}", rec.payload))
-        })?;
-        self.apply_index(table, key, rec.lsn, op, record_weight(&rec.payload))
     }
 
     fn eosl(&self, elsn: Lsn) {
@@ -984,10 +971,6 @@ impl DcApi for LogDc {
         self.catalog.lock().root_of(table)
     }
 
-    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>> {
-        Ok(TableGuard::new(self.table_latch(table).write()))
-    }
-
     fn verify_table(&self, table: TableId) -> Result<TableSummary> {
         let _t = self.table_latch(table).read();
         let (sealed_head, index) = {
@@ -1051,16 +1034,6 @@ impl DcApi for LogDc {
         crate::redo::run(self, window, plan)
     }
 
-    fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
-        let stub = {
-            let tables = self.tables.read();
-            let ts = tables.get(&table).ok_or(Error::UnknownTable(table))?;
-            ts.stubs[shard_index(key, ts.stubs.len())]
-        };
-        let (_, info) = self.pool.with_page_info(stub, |_| ())?;
-        Ok(Located { pid: stub, levels: 0, stall_us: info.stall_us })
-    }
-
     fn set_trace(&self, sink: lr_obs::TraceSink) {
         self.pool.set_trace(sink);
     }
@@ -1083,6 +1056,15 @@ impl RedoBackend for LogDc {
         // Routing-logical redo: the logged PID is the key's stub, so
         // replaying "there" partitions by key shard with no traversal.
         Ok(Located { pid: logged_pid, levels: 0, stall_us: 0 })
+    }
+
+    fn apply_at(&self, _pid: PageId, rec: &LogRecord) -> Result<()> {
+        // The PID is routing metadata (the key's stub); the store itself
+        // is the log record, so application is pure index maintenance.
+        let (table, key, op) = index_op(&rec.payload).ok_or_else(|| {
+            Error::RecoveryInvariant(format!("apply_at of non-data payload {:?}", rec.payload))
+        })?;
+        self.apply_index(table, key, rec.lsn, op, record_weight(&rec.payload))
     }
 
     fn replay_smo_screened(

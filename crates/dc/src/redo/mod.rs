@@ -29,7 +29,7 @@
 mod partitioned;
 mod prefetch;
 
-use crate::api::{DcApi, Located};
+use crate::api::DcApi;
 use crate::catalog::Catalog;
 use crate::dpt::{Dpt, DptScreen};
 use crate::recovery::{plsn_smo_install, SmoBarrierOutcome};
@@ -94,6 +94,21 @@ pub struct RedoPlan {
     pub workers: usize,
 }
 
+/// Where a `(table, key)` pair resolves for redo, with the simulated cost
+/// of finding out.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Located {
+    /// The page the operation should be tested/applied at.
+    pub pid: PageId,
+    /// Index levels touched by the resolution (0 for an O(1) lookup) —
+    /// charged at `IoModel::cpu_btree_level_us` per level by callers.
+    pub levels: u32,
+    /// Device stall µs the resolution itself incurred (cold index pages)
+    /// — already charged to the shared device, returned so per-worker
+    /// busy shards can attribute it.
+    pub stall_us: u64,
+}
+
 /// What an index-preload pass did (Appendix A.1).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PreloadStats {
@@ -121,6 +136,11 @@ pub(crate) trait RedoBackend: DcApi {
     /// for a logical backend (the logged PID is advisory), by the logged
     /// PID for a page-logical backend.
     fn resolve_redo_pid(&self, table: TableId, key: Key, logged_pid: PageId) -> Result<Located>;
+
+    /// Apply `rec`'s data operation or CLR to `pid` under `rec.lsn`, with
+    /// **no redo test** — the screens above (DPT, rLSN, pLSN) decided it.
+    /// Normal execution reaches the same code through [`DcApi::apply`].
+    fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()>;
 
     /// Replay one SMO record with the physiological redo screen (DPT +
     /// rLSN + pLSN), installing surviving page images wholesale. Returns

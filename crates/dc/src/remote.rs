@@ -18,23 +18,23 @@
 //!
 //! ## Guard proxies
 //!
-//! `prepare_op` / `lock_table_exclusive` hand out guards backed by
-//! server-held tokens (see [`crate::server`]). A prepared op's token rides
-//! on its `Apply`: the server applies under the parked guard and releases
-//! it in that one exchange, and the proxy disarms its guard once the
-//! server has answered — so a proxied write is two crossings, `PrepareOp`
-//! and `Apply`. Only a guard still armed at drop (a prepare abandoned
-//! before apply, an `Apply` the transport lost, a table latch) sends its
+//! `prepare_op` hands out a guard backed by a server-held token (see
+//! [`crate::server`]). The token rides on the op's `Apply`: the server
+//! applies under the parked guard and releases it in that one exchange,
+//! and the proxy disarms its guard once the server has answered — so a
+//! proxied write is two crossings, `PrepareOp` and `Apply`, and so is each
+//! of undo's compensations. Only a guard still armed at drop (a prepare
+//! abandoned before apply, an `Apply` the transport lost) sends its
 //! release request. A release over a dead transport is swallowed — the
 //! disconnect cleanup has already freed the server-side guard, so there
 //! is nothing left to release.
 
-use crate::api::{DcApi, DcIntrospect, Located, OpGuard, PreparedOp, TableGuard, TableSummary};
-use crate::dc::{DcConfig, DcStats, PrepareInfo, WriteIntent};
+use crate::api::{DcApi, DcIntrospect, OpGuard, PreparedOp, TableSummary};
+use crate::dc::{DcConfig, DcStats, WriteIntent};
 use crate::redo::RedoPlan;
 use crate::server::{envelope, open_envelope, wire_error, DcServer};
 use crate::telemetry::{WireTelemetry, WireTelemetrySnapshot};
-use crate::wire::{encode_apply, encode_apply_at, encode_redo, DcReply, DcRequest};
+use crate::wire::{encode_apply, encode_redo, DcReply, DcRequest};
 use lr_buffer::BufferPool;
 use lr_common::codec::{frame, unframe};
 use lr_common::{Error, Key, Lsn, PageId, RecoveryBreakdown, Result, TableId, Value};
@@ -223,18 +223,6 @@ impl Drop for RemoteOpGuard {
     }
 }
 
-/// Proxy guard for a server-parked exclusive table latch.
-struct RemoteTableGuard {
-    client: Arc<WireClient>,
-    token: u64,
-}
-
-impl Drop for RemoteTableGuard {
-    fn drop(&mut self) {
-        let _ = self.client.call(&DcRequest::ReleaseTable { token: self.token });
-    }
-}
-
 /// [`DcApi`] over a [`Transport`].
 ///
 /// The introspection facet ([`DcIntrospect`]'s `pool`/`config`/`wal`) is
@@ -384,13 +372,6 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn prepare_write(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PrepareInfo> {
-        match self.call(DcRequest::PrepareWrite { table, key, intent: intent.into() })? {
-            DcReply::Info { pid, before } => Ok(PrepareInfo { pid, before }),
-            other => Err(Self::protocol("prepare_write", other)),
-        }
-    }
-
     fn apply(&self, mut op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
         // A failed exchange returns here with `op` still armed: the server
         // may never have seen the request, so the drop sends `ReleaseOp`.
@@ -402,13 +383,6 @@ impl DcApi for RemoteDc {
             DcReply::Unit => Ok(()),
             DcReply::Err(w) => Err(w.into()),
             other => Err(Self::protocol("apply", other)),
-        }
-    }
-
-    fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {
-        match self.client.call_encoded(&encode_apply_at(pid, rec))? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("apply_at", other)),
         }
     }
 
@@ -474,15 +448,6 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn lock_table_exclusive(&self, table: TableId) -> Result<TableGuard<'_>> {
-        match self.call(DcRequest::LockTableExclusive { table })? {
-            DcReply::TableLocked { token } => {
-                Ok(TableGuard::new(RemoteTableGuard { client: self.client.clone(), token }))
-            }
-            other => Err(Self::protocol("lock_table_exclusive", other)),
-        }
-    }
-
     fn verify_table(&self, table: TableId) -> Result<TableSummary> {
         match self.call(DcRequest::VerifyTable { table })? {
             DcReply::Summary(s) => Ok(s),
@@ -496,13 +461,6 @@ impl DcApi for RemoteDc {
         match self.client.call_encoded(&encode_redo(window, plan))? {
             DcReply::Redone(shard) => Ok(*shard),
             other => Err(Self::protocol("redo", other)),
-        }
-    }
-
-    fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
-        match self.call(DcRequest::LocateKey { table, key })? {
-            DcReply::LocatedAt { pid, levels, stall_us } => Ok(Located { pid, levels, stall_us }),
-            other => Err(Self::protocol("locate_key", other)),
         }
     }
 

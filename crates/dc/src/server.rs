@@ -8,10 +8,11 @@
 //!
 //! ## Server-held guards
 //!
-//! The local [`DcApi::prepare_op`] / [`DcApi::lock_table_exclusive`] return
-//! borrow-carrying guards that cannot cross a message boundary. The server
-//! parks them: each prepare gets a token, and the guard lives in a token
-//! map (keeping its latches held, exactly as if the caller's stack held
+//! The local [`DcApi::prepare_op`] returns a borrow-carrying guard that
+//! cannot cross a message boundary, and it is the only contract operation
+//! that does (undo's compensations are ordinary writes, so no other guard
+//! crosses). The server parks it: each prepare gets a token, and the guard
+//! lives in a token map (keeping its latches held, exactly as if the caller's stack held
 //! it) until the client, having logged the operation, sends
 //! `Apply { token, rec }`. That dispatch takes the guard out of the map,
 //! applies under it and drops it before replying — whether or not the
@@ -24,7 +25,7 @@
 //! never wedge the DC (the same duty a TCP accept loop performs on
 //! connection teardown).
 
-use crate::api::{DcApi, PreparedOp, TableGuard};
+use crate::api::{DcApi, PreparedOp};
 use crate::telemetry::{WireTelemetry, WireTelemetrySnapshot};
 use crate::wire::{DcReply, DcRequest, WireError};
 use lr_common::codec::{frame, unframe};
@@ -44,17 +45,10 @@ struct HeldOp {
     _owner: Arc<dyn DcApi>,
 }
 
-/// A parked exclusive table latch (same ownership discipline).
-struct HeldTable {
-    _guard: TableGuard<'static>,
-    _owner: Arc<dyn DcApi>,
-}
-
 /// Serves the wire protocol against one registered backend.
 pub struct DcServer {
     inner: Arc<dyn DcApi>,
     held_ops: Mutex<HashMap<u64, HeldOp>>,
-    held_tables: Mutex<HashMap<u64, HeldTable>>,
     /// Token source; starts at 1 so 0 never names a live guard.
     next_token: AtomicU64,
     /// Per-op dispatch accumulators — the server's half of the wire
@@ -68,7 +62,6 @@ impl DcServer {
         DcServer {
             inner,
             held_ops: Mutex::new(HashMap::new()),
-            held_tables: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(1),
             telemetry: WireTelemetry::new(),
             trace: std::sync::OnceLock::new(),
@@ -97,11 +90,10 @@ impl DcServer {
         &self.inner
     }
 
-    /// Guards currently parked (prepared ops + table latches). Zero in a
-    /// quiesced server; a nonzero count after a client disconnect means a
-    /// cleanup path was missed.
+    /// Prepared ops currently parked. Zero in a quiesced server; a nonzero
+    /// count after a client disconnect means a cleanup path was missed.
     pub fn held_guards(&self) -> usize {
-        self.held_ops.lock().len() + self.held_tables.lock().len()
+        self.held_ops.lock().len()
     }
 
     /// Drop every parked guard — the connection-teardown duty. A transport
@@ -109,25 +101,18 @@ impl DcServer {
     /// their latches instead of wedging every later writer. Returns the
     /// number of guards released; each release is traced.
     pub fn release_all(&self) -> u64 {
-        let ops: Vec<u64> = {
+        let tokens: Vec<u64> = {
             let mut held = self.held_ops.lock();
             let tokens = held.keys().copied().collect();
             held.clear();
             tokens
         };
-        let tables: Vec<u64> = {
-            let mut held = self.held_tables.lock();
-            let tokens = held.keys().copied().collect();
-            held.clear();
-            tokens
-        };
-        let released = (ops.len() + tables.len()) as u64;
         if let Some(t) = self.trace() {
-            for token in ops.into_iter().chain(tables) {
+            for &token in &tokens {
                 t.emit(EventKind::TokenRelease { token });
             }
         }
-        released
+        tokens.len() as u64
     }
 
     /// Connection-teardown entry point: release every parked guard and
@@ -216,16 +201,6 @@ impl DcServer {
         (token, pid, before)
     }
 
-    fn park_table(&self, guard: TableGuard<'_>) -> u64 {
-        // SAFETY: as in `park_op`.
-        let guard: TableGuard<'static> = unsafe { std::mem::transmute(guard) };
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.held_tables
-            .lock()
-            .insert(token, HeldTable { _guard: guard, _owner: self.inner.clone() });
-        token
-    }
-
     fn dispatch(&self, req: DcRequest) -> Result<DcReply> {
         let dc = &self.inner;
         Ok(match req {
@@ -249,9 +224,6 @@ impl DcServer {
                 }
                 DcReply::Unit
             }
-            DcRequest::PrepareWrite { table, key, intent } => {
-                DcReply::info(dc.prepare_write(table, key, intent.into())?)
-            }
             DcRequest::Apply { token, rec } => {
                 let HeldOp { guard, _owner } =
                     self.held_ops.lock().remove(&token).ok_or_else(|| {
@@ -265,10 +237,6 @@ impl DcServer {
                     t.emit(EventKind::TokenRelease { token });
                 }
                 applied?;
-                DcReply::Unit
-            }
-            DcRequest::ApplyAt { pid, rec } => {
-                dc.apply_at(pid, &rec)?;
                 DcReply::Unit
             }
             DcRequest::Eosl { elsn } => {
@@ -309,21 +277,8 @@ impl DcServer {
                 DcReply::Unit
             }
             DcRequest::TableRoot { table } => DcReply::Pid(dc.table_root(table)?),
-            DcRequest::LockTableExclusive { table } => {
-                let guard = dc.lock_table_exclusive(table)?;
-                DcReply::TableLocked { token: self.park_table(guard) }
-            }
-            DcRequest::ReleaseTable { token } => {
-                if self.held_tables.lock().remove(&token).is_some() {
-                    if let Some(t) = self.trace() {
-                        t.emit(EventKind::TokenRelease { token });
-                    }
-                }
-                DcReply::Unit
-            }
             DcRequest::VerifyTable { table } => DcReply::Summary(dc.verify_table(table)?),
             DcRequest::Redo { window, plan } => DcReply::Redone(Box::new(dc.redo(&window, &plan)?)),
-            DcRequest::LocateKey { table, key } => DcReply::located(dc.locate_key(table, key)?),
             DcRequest::Stats => DcReply::Stats(Box::new(dc.stats())),
             DcRequest::Introspect => DcReply::WireTelemetry(self.telemetry.snapshot()),
         })
@@ -572,27 +527,5 @@ mod tests {
         // Double release of the dead token: still a no-op.
         srv.serve(DcRequest::ReleaseOp { token });
         let _ = srv.serve(DcRequest::Read { table: T, key: 1 });
-    }
-
-    #[test]
-    fn table_lock_tokens_park_and_release() {
-        let srv = server();
-        let token = match srv.serve(DcRequest::LockTableExclusive { table: T }) {
-            DcReply::TableLocked { token } => token,
-            other => panic!("expected TableLocked, got {other:?}"),
-        };
-        assert_eq!(srv.held_guards(), 1);
-        srv.serve(DcRequest::ReleaseTable { token });
-        assert_eq!(srv.held_guards(), 0);
-        // Table writable again.
-        assert!(matches!(
-            srv.serve(DcRequest::PrepareOp {
-                table: T,
-                key: 3,
-                intent: WireIntent::Insert { value_len: 2 },
-            }),
-            DcReply::Prepared { .. }
-        ));
-        srv.release_all();
     }
 }

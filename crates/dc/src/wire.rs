@@ -10,25 +10,21 @@
 //! the length-prefixed CRC-checked frame format of
 //! [`lr_common::codec::frame`].
 //!
-//! Two trait methods need reshaping for message passing, because their
-//! local signatures hand out borrow-carrying guards:
+//! One trait method needs reshaping for message passing, because its local
+//! signature hands out a borrow-carrying guard:
+//! [`crate::DcApi::prepare_op`] returns a [`crate::PreparedOp`] whose guard
+//! pins latches until apply. Over the wire the *server* parks that guard
+//! in a token map and replies [`DcReply::Prepared`]`{token, pid, before}`;
+//! [`DcRequest::Apply`]`{token, rec}` applies under the parked guard and
+//! releases it in the same exchange. Only a prepare abandoned before apply
+//! sends [`DcRequest::ReleaseOp`]`{token}`, from the proxy guard's drop.
+//! Undo's compensations take the same two crossings as any write.
 //!
-//! * [`crate::DcApi::prepare_op`] returns a [`crate::PreparedOp`] whose
-//!   guard pins latches until apply. Over the wire the *server* parks that
-//!   guard in a token map and replies
-//!   [`DcReply::Prepared`]`{token, pid, before}`;
-//!   [`DcRequest::Apply`]`{token, rec}` applies under the parked guard and
-//!   releases it in the same exchange. Only a prepare abandoned before
-//!   apply sends [`DcRequest::ReleaseOp`]`{token}`, from the proxy guard's
-//!   drop.
-//! * [`crate::DcApi::lock_table_exclusive`] likewise becomes
-//!   [`DcReply::TableLocked`]`{token}` + [`DcRequest::ReleaseTable`].
-//!
-//! Both releases are idempotent (releasing an unknown token is a no-op), so
-//! a client retrying over a flaky transport can never wedge the server.
+//! The release is idempotent (releasing an unknown token is a no-op), so a
+//! client retrying over a flaky transport can never wedge the server.
 
-use crate::api::{Located, TableSummary};
-use crate::dc::{DcStats, PrepareInfo, WriteIntent};
+use crate::api::TableSummary;
+use crate::dc::{DcStats, WriteIntent};
 use crate::dpt::Dpt;
 use crate::redo::{Family, Prefetch, RedoPlan};
 use crate::telemetry::WireTelemetrySnapshot;
@@ -41,9 +37,9 @@ use lr_wal::{LogPayload, LogRecord};
 // ----------------------------------------------------------------------
 
 /// One logical operation crossing the TC→DC boundary. Variants map 1:1
-/// onto [`crate::DcApi`] methods except for the two token-based reshapes
-/// described in the module docs ([`DcRequest::ReleaseOp`] /
-/// [`DcRequest::ReleaseTable`]) and [`DcRequest::Stats`], which carries
+/// onto [`crate::DcApi`] methods except for the token-based reshape
+/// described in the module docs ([`DcRequest::ReleaseOp`]) and
+/// [`DcRequest::Stats`], which carries
 /// the [`crate::DcIntrospect::stats`] snapshot for deployments where the
 /// DC's counters live on the far side.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,18 +66,9 @@ pub enum DcRequest {
     ReleaseOp {
         token: u64,
     },
-    PrepareWrite {
-        table: TableId,
-        key: Key,
-        intent: WireIntent,
-    },
     /// Apply `rec` under the guard parked as `token`, then release it.
     Apply {
         token: u64,
-        rec: LogRecord,
-    },
-    ApplyAt {
-        pid: PageId,
         rec: LogRecord,
     },
     Eosl {
@@ -106,13 +93,6 @@ pub enum DcRequest {
     TableRoot {
         table: TableId,
     },
-    LockTableExclusive {
-        table: TableId,
-    },
-    /// Drop the server-held latch of a parked [`DcReply::TableLocked`].
-    ReleaseTable {
-        token: u64,
-    },
     VerifyTable {
         table: TableId,
     },
@@ -120,10 +100,6 @@ pub enum DcRequest {
     Redo {
         window: Vec<LogRecord>,
         plan: RedoPlan,
-    },
-    LocateKey {
-        table: TableId,
-        key: Key,
     },
     Stats,
     /// Pull the server's [`WireTelemetrySnapshot`] — its per-op view of
@@ -184,42 +160,17 @@ pub enum DcReply {
         pid: PageId,
         before: Option<Value>,
     },
-    /// Latch-free placement info ([`PrepareInfo`]).
-    Info {
-        pid: PageId,
-        before: Option<Value>,
-    },
     Count(u64),
     Pid(PageId),
-    /// An exclusive table latch parked server-side: release with
-    /// [`DcRequest::ReleaseTable`]`{token}`.
-    TableLocked {
-        token: u64,
-    },
     Summary(TableSummary),
     /// The redo shard of one [`DcRequest::Redo`] (boxed like `Stats`).
     Redone(Box<RecoveryBreakdown>),
-    LocatedAt {
-        pid: PageId,
-        levels: u32,
-        stall_us: u64,
-    },
     // Boxed: a DcStats snapshot (two inline histograms) dwarfs every
     // other reply shape, and stats crossings are cold-path.
     Stats(Box<DcStats>),
     /// The server's per-op wire accumulators ([`DcRequest::Introspect`]).
     WireTelemetry(WireTelemetrySnapshot),
     Err(WireError),
-}
-
-impl DcReply {
-    pub fn located(l: Located) -> DcReply {
-        DcReply::LocatedAt { pid: l.pid, levels: l.levels, stall_us: l.stall_us }
-    }
-
-    pub fn info(i: PrepareInfo) -> DcReply {
-        DcReply::Info { pid: i.pid, before: i.before }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -679,27 +630,22 @@ const REQ_READ_RANGE: u8 = 2;
 const REQ_SCAN_ALL: u8 = 3;
 const REQ_PREPARE_OP: u8 = 4;
 const REQ_RELEASE_OP: u8 = 5;
-const REQ_PREPARE_WRITE: u8 = 6;
-const REQ_APPLY: u8 = 7;
-const REQ_APPLY_AT: u8 = 8;
-const REQ_EOSL: u8 = 9;
-const REQ_RSSP: u8 = 10;
-const REQ_DRAIN: u8 = 11;
-const REQ_CRASH: u8 = 12;
-const REQ_PUMP_EVENTS: u8 = 13;
-const REQ_FORCE_EMIT: u8 = 14;
-const REQ_CLEANER_PASS: u8 = 15;
-const REQ_COMPACT_PASS: u8 = 16;
-const REQ_CREATE_TABLE: u8 = 17;
-const REQ_REGISTER_TABLE: u8 = 18;
-const REQ_TABLE_ROOT: u8 = 19;
-const REQ_LOCK_TABLE: u8 = 20;
-const REQ_RELEASE_TABLE: u8 = 21;
-const REQ_VERIFY_TABLE: u8 = 22;
-const REQ_REDO: u8 = 23;
-const REQ_LOCATE_KEY: u8 = 24;
-const REQ_STATS: u8 = 25;
-const REQ_INTROSPECT: u8 = 26;
+const REQ_APPLY: u8 = 6;
+const REQ_EOSL: u8 = 7;
+const REQ_RSSP: u8 = 8;
+const REQ_DRAIN: u8 = 9;
+const REQ_CRASH: u8 = 10;
+const REQ_PUMP_EVENTS: u8 = 11;
+const REQ_FORCE_EMIT: u8 = 12;
+const REQ_CLEANER_PASS: u8 = 13;
+const REQ_COMPACT_PASS: u8 = 14;
+const REQ_CREATE_TABLE: u8 = 15;
+const REQ_REGISTER_TABLE: u8 = 16;
+const REQ_TABLE_ROOT: u8 = 17;
+const REQ_VERIFY_TABLE: u8 = 18;
+const REQ_REDO: u8 = 19;
+const REQ_STATS: u8 = 20;
+const REQ_INTROSPECT: u8 = 21;
 
 /// The highest assigned request tag — sizes per-op telemetry tables.
 pub const MAX_REQ_TAG: u8 = REQ_INTROSPECT;
@@ -713,9 +659,7 @@ pub fn op_name(tag: u8) -> &'static str {
         REQ_SCAN_ALL => "scan_all",
         REQ_PREPARE_OP => "prepare_op",
         REQ_RELEASE_OP => "release_op",
-        REQ_PREPARE_WRITE => "prepare_write",
         REQ_APPLY => "apply",
-        REQ_APPLY_AT => "apply_at",
         REQ_EOSL => "eosl",
         REQ_RSSP => "rssp",
         REQ_DRAIN => "drain_in_flight_ops",
@@ -727,11 +671,8 @@ pub fn op_name(tag: u8) -> &'static str {
         REQ_CREATE_TABLE => "create_table",
         REQ_REGISTER_TABLE => "register_table",
         REQ_TABLE_ROOT => "table_root",
-        REQ_LOCK_TABLE => "lock_table_exclusive",
-        REQ_RELEASE_TABLE => "release_table",
         REQ_VERIFY_TABLE => "verify_table",
         REQ_REDO => "redo",
-        REQ_LOCATE_KEY => "locate_key",
         REQ_STATS => "stats",
         REQ_INTROSPECT => "introspect",
         _ => "unknown",
@@ -744,15 +685,6 @@ pub fn encode_apply(token: u64, rec: &LogRecord) -> Vec<u8> {
     let mut e = Encoder::with_capacity(64);
     e.put_u8(REQ_APPLY);
     e.put_u64(token);
-    put_record(&mut e, rec);
-    e.finish()
-}
-
-/// The body of [`DcRequest::ApplyAt`], encoded from a borrowed record.
-pub fn encode_apply_at(pid: PageId, rec: &LogRecord) -> Vec<u8> {
-    let mut e = Encoder::with_capacity(64);
-    e.put_u8(REQ_APPLY_AT);
-    e.put_pid(pid);
     put_record(&mut e, rec);
     e.finish()
 }
@@ -798,14 +730,7 @@ impl DcRequest {
                 e.put_u8(REQ_RELEASE_OP);
                 e.put_u64(*token);
             }
-            DcRequest::PrepareWrite { table, key, intent } => {
-                e.put_u8(REQ_PREPARE_WRITE);
-                e.put_table(*table);
-                e.put_key(*key);
-                put_intent(&mut e, *intent);
-            }
             DcRequest::Apply { token, rec } => return encode_apply(*token, rec),
-            DcRequest::ApplyAt { pid, rec } => return encode_apply_at(*pid, rec),
             DcRequest::Eosl { elsn } => {
                 e.put_u8(REQ_EOSL);
                 e.put_lsn(*elsn);
@@ -833,24 +758,11 @@ impl DcRequest {
                 e.put_u8(REQ_TABLE_ROOT);
                 e.put_table(*table);
             }
-            DcRequest::LockTableExclusive { table } => {
-                e.put_u8(REQ_LOCK_TABLE);
-                e.put_table(*table);
-            }
-            DcRequest::ReleaseTable { token } => {
-                e.put_u8(REQ_RELEASE_TABLE);
-                e.put_u64(*token);
-            }
             DcRequest::VerifyTable { table } => {
                 e.put_u8(REQ_VERIFY_TABLE);
                 e.put_table(*table);
             }
             DcRequest::Redo { window, plan } => return encode_redo(window, plan),
-            DcRequest::LocateKey { table, key } => {
-                e.put_u8(REQ_LOCATE_KEY);
-                e.put_table(*table);
-                e.put_key(*key);
-            }
             DcRequest::Stats => e.put_u8(REQ_STATS),
             DcRequest::Introspect => e.put_u8(REQ_INTROSPECT),
         }
@@ -865,9 +777,7 @@ impl DcRequest {
             DcRequest::ScanAll { .. } => REQ_SCAN_ALL,
             DcRequest::PrepareOp { .. } => REQ_PREPARE_OP,
             DcRequest::ReleaseOp { .. } => REQ_RELEASE_OP,
-            DcRequest::PrepareWrite { .. } => REQ_PREPARE_WRITE,
             DcRequest::Apply { .. } => REQ_APPLY,
-            DcRequest::ApplyAt { .. } => REQ_APPLY_AT,
             DcRequest::Eosl { .. } => REQ_EOSL,
             DcRequest::Rssp { .. } => REQ_RSSP,
             DcRequest::DrainInFlightOps => REQ_DRAIN,
@@ -879,11 +789,8 @@ impl DcRequest {
             DcRequest::CreateTable { .. } => REQ_CREATE_TABLE,
             DcRequest::RegisterTable { .. } => REQ_REGISTER_TABLE,
             DcRequest::TableRoot { .. } => REQ_TABLE_ROOT,
-            DcRequest::LockTableExclusive { .. } => REQ_LOCK_TABLE,
-            DcRequest::ReleaseTable { .. } => REQ_RELEASE_TABLE,
             DcRequest::VerifyTable { .. } => REQ_VERIFY_TABLE,
             DcRequest::Redo { .. } => REQ_REDO,
-            DcRequest::LocateKey { .. } => REQ_LOCATE_KEY,
             DcRequest::Stats => REQ_STATS,
             DcRequest::Introspect => REQ_INTROSPECT,
         }
@@ -903,13 +810,7 @@ impl DcRequest {
                 intent: get_intent(&mut d)?,
             },
             REQ_RELEASE_OP => DcRequest::ReleaseOp { token: d.get_u64()? },
-            REQ_PREPARE_WRITE => DcRequest::PrepareWrite {
-                table: d.get_table()?,
-                key: d.get_key()?,
-                intent: get_intent(&mut d)?,
-            },
             REQ_APPLY => DcRequest::Apply { token: d.get_u64()?, rec: get_record(&mut d)? },
-            REQ_APPLY_AT => DcRequest::ApplyAt { pid: d.get_pid()?, rec: get_record(&mut d)? },
             REQ_EOSL => DcRequest::Eosl { elsn: d.get_lsn()? },
             REQ_RSSP => DcRequest::Rssp { rssp_lsn: d.get_lsn()? },
             REQ_DRAIN => DcRequest::DrainInFlightOps,
@@ -923,11 +824,8 @@ impl DcRequest {
                 DcRequest::RegisterTable { table: d.get_table()?, root: d.get_pid()? }
             }
             REQ_TABLE_ROOT => DcRequest::TableRoot { table: d.get_table()? },
-            REQ_LOCK_TABLE => DcRequest::LockTableExclusive { table: d.get_table()? },
-            REQ_RELEASE_TABLE => DcRequest::ReleaseTable { token: d.get_u64()? },
             REQ_VERIFY_TABLE => DcRequest::VerifyTable { table: d.get_table()? },
             REQ_REDO => DcRequest::Redo { window: get_records(&mut d)?, plan: get_plan(&mut d)? },
-            REQ_LOCATE_KEY => DcRequest::LocateKey { table: d.get_table()?, key: d.get_key()? },
             REQ_STATS => DcRequest::Stats,
             REQ_INTROSPECT => DcRequest::Introspect,
             t => return Err(CodecError::BadTag { context: "dc request", tag: t }),
@@ -941,16 +839,13 @@ const REP_UNIT: u8 = 1;
 const REP_VALUE: u8 = 2;
 const REP_ROWS: u8 = 3;
 const REP_PREPARED: u8 = 4;
-const REP_INFO: u8 = 5;
-const REP_COUNT: u8 = 6;
-const REP_PID: u8 = 7;
-const REP_TABLE_LOCKED: u8 = 8;
-const REP_SUMMARY: u8 = 9;
-const REP_REDONE: u8 = 10;
-const REP_LOCATED: u8 = 11;
-const REP_STATS: u8 = 12;
-const REP_ERR: u8 = 13;
-const REP_WIRE_TELEMETRY: u8 = 14;
+const REP_COUNT: u8 = 5;
+const REP_PID: u8 = 6;
+const REP_SUMMARY: u8 = 7;
+const REP_REDONE: u8 = 8;
+const REP_STATS: u8 = 9;
+const REP_ERR: u8 = 10;
+const REP_WIRE_TELEMETRY: u8 = 11;
 
 impl DcReply {
     pub fn encode(&self) -> Vec<u8> {
@@ -971,11 +866,6 @@ impl DcReply {
                 e.put_pid(*pid);
                 put_opt_value(&mut e, before);
             }
-            DcReply::Info { pid, before } => {
-                e.put_u8(REP_INFO);
-                e.put_pid(*pid);
-                put_opt_value(&mut e, before);
-            }
             DcReply::Count(c) => {
                 e.put_u8(REP_COUNT);
                 e.put_u64(*c);
@@ -983,10 +873,6 @@ impl DcReply {
             DcReply::Pid(p) => {
                 e.put_u8(REP_PID);
                 e.put_pid(*p);
-            }
-            DcReply::TableLocked { token } => {
-                e.put_u8(REP_TABLE_LOCKED);
-                e.put_u64(*token);
             }
             DcReply::Summary(s) => {
                 e.put_u8(REP_SUMMARY);
@@ -998,12 +884,6 @@ impl DcReply {
             DcReply::Redone(shard) => {
                 e.put_u8(REP_REDONE);
                 put_shard(&mut e, shard);
-            }
-            DcReply::LocatedAt { pid, levels, stall_us } => {
-                e.put_u8(REP_LOCATED);
-                e.put_pid(*pid);
-                e.put_u32(*levels);
-                e.put_u64(*stall_us);
             }
             DcReply::Stats(s) => {
                 e.put_u8(REP_STATS);
@@ -1032,10 +912,8 @@ impl DcReply {
                 pid: d.get_pid()?,
                 before: get_opt_value(&mut d)?,
             },
-            REP_INFO => DcReply::Info { pid: d.get_pid()?, before: get_opt_value(&mut d)? },
             REP_COUNT => DcReply::Count(d.get_u64()?),
             REP_PID => DcReply::Pid(d.get_pid()?),
-            REP_TABLE_LOCKED => DcReply::TableLocked { token: d.get_u64()? },
             REP_SUMMARY => DcReply::Summary(TableSummary {
                 records: d.get_u64()?,
                 leaf_pages: d.get_u64()?,
@@ -1043,11 +921,6 @@ impl DcReply {
                 height: d.get_u32()?,
             }),
             REP_REDONE => DcReply::Redone(Box::new(get_shard(&mut d)?)),
-            REP_LOCATED => DcReply::LocatedAt {
-                pid: d.get_pid()?,
-                levels: d.get_u32()?,
-                stall_us: d.get_u64()?,
-            },
             REP_STATS => DcReply::Stats(Box::new(get_stats(&mut d)?)),
             REP_WIRE_TELEMETRY => {
                 DcReply::WireTelemetry(WireTelemetrySnapshot::decode_from(&mut d)?)
@@ -1111,13 +984,7 @@ mod tests {
                 intent: WireIntent::Insert { value_len: 16 },
             },
             DcRequest::ReleaseOp { token: 77 },
-            DcRequest::PrepareWrite {
-                table: TableId(1),
-                key: 5,
-                intent: WireIntent::Update { value_len: 8 },
-            },
             DcRequest::Apply { token: 78, rec: rec.clone() },
-            DcRequest::ApplyAt { pid: PageId(7), rec: rec.clone() },
             DcRequest::Eosl { elsn: Lsn(500) },
             DcRequest::Rssp { rssp_lsn: Lsn(400) },
             DcRequest::DrainInFlightOps,
@@ -1129,8 +996,6 @@ mod tests {
             DcRequest::CreateTable { table: TableId(3) },
             DcRequest::RegisterTable { table: TableId(3), root: PageId(11) },
             DcRequest::TableRoot { table: TableId(3) },
-            DcRequest::LockTableExclusive { table: TableId(1) },
-            DcRequest::ReleaseTable { token: 88 },
             DcRequest::VerifyTable { table: TableId(1) },
             DcRequest::Redo { window: vec![rec.clone(), rec.clone()], plan: plan.clone() },
             DcRequest::Redo {
@@ -1142,7 +1007,6 @@ mod tests {
                     ..plan
                 },
             },
-            DcRequest::LocateKey { table: TableId(1), key: 5 },
             DcRequest::Stats,
             DcRequest::Introspect,
         ] {
@@ -1169,8 +1033,6 @@ mod tests {
         assert_eq!(bytes[1..9], 0xA1B2_C3D4_E5F6_0708u64.to_le_bytes());
         let expect = DcRequest::Apply { token: 0xA1B2_C3D4_E5F6_0708, rec: rec.clone() };
         assert_eq!(DcRequest::decode(&bytes).unwrap(), expect);
-        let at = DcRequest::ApplyAt { pid: PageId(7), rec: rec.clone() };
-        assert_eq!(DcRequest::decode(&encode_apply_at(PageId(7), &rec)).unwrap(), at);
         // Cut anywhere — mid-token, mid-record — decoding reports it.
         for cut in 1..bytes.len() {
             assert!(DcRequest::decode(&bytes[..cut]).is_err(), "cut at {cut} decoded");
@@ -1203,10 +1065,8 @@ mod tests {
             DcReply::Value(None),
             DcReply::Rows(vec![(1, vec![4]), (2, vec![5, 6])]),
             DcReply::Prepared { token: 1, pid: PageId(7), before: Some(vec![9]) },
-            DcReply::Info { pid: PageId(8), before: None },
             DcReply::Count(17),
             DcReply::Pid(PageId(5)),
-            DcReply::TableLocked { token: 4 },
             DcReply::Summary(TableSummary {
                 records: 100,
                 leaf_pages: 10,
@@ -1220,7 +1080,6 @@ mod tests {
                 }
                 shard
             })),
-            DcReply::LocatedAt { pid: PageId(3), levels: 2, stall_us: 120 },
             DcReply::Stats(Box::new(stats)),
             DcReply::WireTelemetry({
                 let t = crate::telemetry::WireTelemetry::new();

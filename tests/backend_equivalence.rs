@@ -296,7 +296,9 @@ fn shrink_then_neighbour_fills(
     engine.checkpoint().unwrap();
     let key = 700;
     let original = engine.read(DEFAULT_TABLE, key).unwrap().unwrap();
-    let page_of = |k| engine.dc().locate_key(DEFAULT_TABLE, k).unwrap().pid;
+    // The page a key's write would land on; the staged op is abandoned.
+    let page_of =
+        |k| engine.dc().prepare_op(DEFAULT_TABLE, k, lr_dc::WriteIntent::Delete).unwrap().pid;
     let neighbour = (key + 1..).find(|k| page_of(*k) == page_of(key)).unwrap();
 
     let t1 = engine.begin().unwrap();
