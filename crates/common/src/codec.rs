@@ -87,8 +87,25 @@ pub fn unframe(buf: &[u8]) -> Result<&[u8], CodecError> {
 /// connection dies cleanly rather than OOMing the server.
 pub const MAX_FRAME_BODY: usize = 64 << 20;
 
-/// Write one frame (`[len][crc32][body]`, as [`frame`]) to a byte stream.
+/// Refuse a frame body a stream reader would reject: over
+/// [`MAX_FRAME_BODY`] the reader drops the connection, and from 4 GiB on
+/// the `u32` length prefix would wrap. Senders check before writing any
+/// byte, so an over-cap message is an `InvalidInput` error and the stream
+/// stays usable.
+pub fn check_frame_body(len: usize) -> std::io::Result<()> {
+    if len > MAX_FRAME_BODY {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame body of {len} bytes exceeds cap {MAX_FRAME_BODY}"),
+        ));
+    }
+    Ok(())
+}
+
+/// Write one frame (`[len][crc32][body]`, as [`frame`]) to a byte stream,
+/// refusing an over-cap body ([`check_frame_body`]) before any byte.
 pub fn write_frame_to(w: &mut dyn std::io::Write, body: &[u8]) -> std::io::Result<()> {
+    check_frame_body(body.len())?;
     w.write_all(&(body.len() as u32).to_le_bytes())?;
     w.write_all(&crate::crc::crc32(body).to_le_bytes())?;
     w.write_all(body)?;
@@ -463,6 +480,17 @@ mod tests {
         let err = read_frame_from(&mut r).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds cap"), "{err}");
+    }
+
+    #[test]
+    fn over_cap_body_is_refused_before_any_byte_is_written() {
+        // Zeroed and never read: the refusal looks at the length only.
+        let body = vec![0u8; MAX_FRAME_BODY + 1];
+        let mut out = Vec::new();
+        let err = write_frame_to(&mut out, &body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("exceeds cap"), "{err}");
+        assert!(out.is_empty(), "{} bytes written before the refusal", out.len());
     }
 
     #[test]

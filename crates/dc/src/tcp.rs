@@ -29,7 +29,7 @@
 use crate::api::DcApi;
 use crate::remote::{RemoteDc, Transport};
 use crate::server::DcServer;
-use lr_common::codec::read_raw_frame_from;
+use lr_common::codec::{check_frame_body, read_raw_frame_from, FRAME_HEADER};
 use lr_common::{Error, Result};
 use lr_obs::TraceSink;
 use parking_lot::Mutex;
@@ -230,6 +230,9 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
+        // An over-cap frame would make the server drop the connection:
+        // refuse it here, before a stream is touched.
+        check_frame_body(request.len().saturating_sub(FRAME_HEADER))?;
         let mut stream = self.checkout()?;
         stream.write_all(request)?;
         let reply = read_raw_frame_from(&mut stream)?.ok_or_else(|| {
@@ -368,6 +371,26 @@ mod tests {
         }
         // The same connection still serves well-formed frames.
         match roundtrip(&transport, 4, &DcRequest::Stats) {
+            DcReply::Stats(_) => {}
+            other => panic!("expected Stats reply, got {other:?}"),
+        }
+    }
+
+    /// A request over the frame cap is refused client-side with a typed
+    /// error before any byte is written, and the transport stays usable.
+    #[test]
+    fn over_cap_request_is_a_typed_error_and_the_transport_stays_usable() {
+        use lr_common::codec::MAX_FRAME_BODY;
+        let (_dc, transport) = tcp_deploy(test_backend(), "tcp-test").unwrap();
+        // A frame whose header announces one byte over the cap; the zeroed
+        // body is never read.
+        let mut over = vec![0u8; FRAME_HEADER + MAX_FRAME_BODY + 1];
+        over[..4].copy_from_slice(&(MAX_FRAME_BODY as u32 + 1).to_le_bytes());
+        match transport.call(&over) {
+            Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+            other => panic!("expected an InvalidInput error, got {other:?}"),
+        }
+        match roundtrip(&transport, 9, &DcRequest::Stats) {
             DcReply::Stats(_) => {}
             other => panic!("expected Stats reply, got {other:?}"),
         }
