@@ -6,12 +6,14 @@
 //! validation at once — concurrent updaters on neighbouring keys, B-tree
 //! splits and merges from insert/delete churn, and cache-miss evictions
 //! in a deliberately small pool with epoch-based frame reclamation
-//! recycling frames the whole time — and asserts bank-transfer money
-//! conservation, exact per-key balances (no lost updates), and that
-//! recycled frames are never validated by a stale reader (every observed
-//! value decodes cleanly against the writer protocol).
+//! recycling frames the whole time, plus aborted transfers whose
+//! compensations run through the same write path — and asserts
+//! bank-transfer money conservation, exact per-key balances (no lost
+//! updates), and that recycled frames are never validated by a stale
+//! reader (every observed value decodes cleanly against the writer
+//! protocol).
 
-use lr_core::{Engine, EngineConfig, DEFAULT_TABLE};
+use lr_core::{Engine, EngineConfig, Session, DEFAULT_TABLE};
 use lr_workload::{run_concurrent, ConcurrentScenario};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,10 +43,14 @@ fn decode(key: u64, value: &[u8]) -> u64 {
 /// Bank workload: each updater owns a disjoint key stripe and moves money
 /// between its own keys (read-for-update both, write both), while an
 /// insert/delete churn thread forces splits and merges and a tiny pool
-/// keeps the clock evictor retiring and recycling frames. On completion
-/// every balance must match the updater's local ledger exactly (a lost
-/// update — an OLC prepare validating against a stale leaf — would break
-/// it) and total money is conserved.
+/// keeps the clock evictor retiring and recycling frames. A share of the
+/// transfers roll back after both writes: undo compensates each under the
+/// shared table latch (OLC first), exactly as a write, racing the same
+/// churn. On completion every balance must match the updater's local
+/// ledger of committed transfers exactly (a lost update — an OLC prepare
+/// validating against a stale leaf, or a compensation restoring the wrong
+/// image — would break it), total money is conserved, the tree verifies
+/// and no lock is left behind.
 #[test]
 fn optimistic_writes_under_churn_lose_no_updates() {
     const STRIPES: u64 = 4;
@@ -74,7 +80,7 @@ fn optimistic_writes_under_churn_lose_no_updates() {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
-    let ledgers: Vec<Vec<u64>> = std::thread::scope(|scope| {
+    let outcomes: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
         let mut updaters = Vec::new();
         for stripe in 0..STRIPES {
             let engine = engine.clone();
@@ -82,6 +88,7 @@ fn optimistic_writes_under_churn_lose_no_updates() {
                 let mut s = Engine::session(&engine);
                 let keys: Vec<u64> = (stripe..KEYS).step_by(STRIPES as usize).collect();
                 let mut ledger = vec![INIT; keys.len()];
+                let mut aborted = 0u64;
                 let mut x = 0x9E37_79B9u64.wrapping_add(stripe);
                 for _ in 0..TRANSFERS {
                     x ^= x << 13;
@@ -94,24 +101,36 @@ fn optimistic_writes_under_churn_lose_no_updates() {
                     }
                     let (a, b) = (keys[i], keys[j]);
                     // Balances are re-read inside the transaction body so
-                    // a retry never double-applies; the committed amount
-                    // is captured for the local ledger.
-                    let mut moved = 0u64;
-                    s.run_txn(100, |s| {
+                    // a retry never double-applies; the moved amount is
+                    // returned for the local ledger.
+                    let transfer = |s: &mut Session| -> lr_common::Result<u64> {
                         let va = s.read_for_update(DEFAULT_TABLE, a)?.expect("key a exists");
                         let vb = s.read_for_update(DEFAULT_TABLE, b)?.expect("key b exists");
                         let (ba, bb) = (decode(a, &va), decode(b, &vb));
                         let amt = ba.min(1 + x % 10);
                         s.update_in(DEFAULT_TABLE, a, encoded(a, ba - amt))?;
                         s.update_in(DEFAULT_TABLE, b, encoded(b, bb + amt))?;
-                        moved = amt;
+                        Ok(amt)
+                    };
+                    // One transfer in four rolls back after both writes
+                    // (stripes are disjoint, so it meets no lock conflict).
+                    if (x >> 20) % 4 == 0 {
+                        s.begin().unwrap();
+                        transfer(&mut s).unwrap();
+                        s.abort().unwrap();
+                        aborted += 1;
+                        continue;
+                    }
+                    let mut moved = 0u64;
+                    s.run_txn(100, |s| {
+                        moved = transfer(s)?;
                         Ok(())
                     })
                     .unwrap();
                     ledger[i] -= moved;
                     ledger[j] += moved;
                 }
-                ledger
+                (ledger, aborted)
             }));
         }
         // Churn: fresh high keys force splits while prepares descend;
@@ -152,18 +171,21 @@ fn optimistic_writes_under_churn_lose_no_updates() {
                 }
             });
         }
-        let ledgers: Vec<Vec<u64>> =
+        let outcomes: Vec<(Vec<u64>, u64)> =
             updaters.into_iter().map(|h| h.join().expect("updater panicked")).collect();
         stop.store(true, Ordering::Relaxed);
-        ledgers
+        outcomes
     });
 
     engine.tc().locks().assert_no_leaks();
+    engine.verify_table(DEFAULT_TABLE).unwrap();
+    let aborted: u64 = outcomes.iter().map(|(_, n)| n).sum();
+    assert!(aborted > 0, "no transfer rolled back: the compensation path went untested");
 
     // No lost updates: every balance equals its owner's ledger exactly,
     // and money is conserved across the whole bank.
     let mut total = 0u64;
-    for (stripe, ledger) in ledgers.iter().enumerate() {
+    for (stripe, (ledger, _)) in outcomes.iter().enumerate() {
         let keys: Vec<u64> = (stripe as u64..KEYS).step_by(STRIPES as usize).collect();
         for (i, key) in keys.iter().enumerate() {
             let v = engine.read(DEFAULT_TABLE, *key).unwrap().expect("key survives churn");
