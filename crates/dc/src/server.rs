@@ -8,15 +8,14 @@
 //!
 //! ## Server-held guards
 //!
-//! The local [`DcApi::prepare_op`] returns a borrow-carrying guard that
-//! cannot cross a message boundary, and it is the only contract operation
-//! that does (undo's compensations are ordinary writes, so no other guard
-//! crosses). The server parks it: each prepare gets a token, and the guard
-//! lives in a token map (keeping its latches held, exactly as if the caller's stack held
-//! it) until the client, having logged the operation, sends
-//! `Apply { token, rec }`. That dispatch takes the guard out of the map,
-//! applies under it and drops it before replying — whether or not the
-//! apply succeeded — so the release costs no exchange of its own. An
+//! [`DcApi::prepare_op`], the one contract operation that hands out a
+//! guard, returns a borrow-carrying guard that cannot cross a message
+//! boundary. The server parks it: each prepare gets a token, and the guard
+//! lives in a token map (keeping its latches held, exactly as if the
+//! caller's stack held it) until the client, having logged the operation,
+//! sends `Apply { token, rec }`. That dispatch takes the guard out of the
+//! map, applies under it and drops it before replying — whether or not
+//! the apply succeeded — so the release costs no exchange of its own. An
 //! `Apply` naming a token that is not parked (never issued, already
 //! applied or released, swept by a disconnect) is refused before any page
 //! is touched. `ReleaseOp { token }` is for a prepare the client abandons
