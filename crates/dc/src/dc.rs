@@ -841,12 +841,15 @@ impl DataComponent {
             })?,
             rec,
         )?;
-        // Normal-execution deletes may leave a leaf underfull; rebalance
-        // with a merge SMO. Never triggered from recovery paths (redo
-        // replays logged SMOs; generating new ones mid-redo would stamp
-        // pages with LSNs ahead of unreplayed records).
+        // Normal-execution deletes — undo removing an inserted key is one —
+        // may leave a leaf underfull; rebalance with a merge SMO. Never
+        // triggered from redo (it replays logged SMOs; generating new ones
+        // mid-redo would stamp pages with LSNs ahead of unreplayed
+        // records).
         if self.cfg.merge_min_fill > 0.0 {
-            if let LogPayload::Delete { table, key, .. } = &rec.payload {
+            if let LogPayload::Delete { table, key, .. }
+            | LogPayload::Clr { table, key, action: ClrAction::RemoveKey, .. } = &rec.payload
+            {
                 self.maybe_merge(*table, *key)?;
             }
         }

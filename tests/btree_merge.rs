@@ -108,6 +108,61 @@ fn shrunk_tree_recovers_with_every_method() {
     }
 }
 
+/// Undo is an ordinary write: rolling back a batch of inserts removes each
+/// key through the delete path, so it merges the leaves the inserts split —
+/// on an online abort, and in recovery's undo of a loser under every
+/// method.
+#[test]
+fn undoing_inserts_merges_like_deleting_them() {
+    let insert_batch = |e: &Engine| {
+        let t = e.begin().unwrap();
+        for k in 1_000..4_000u64 {
+            e.insert(t, k, vec![k as u8; 64]).unwrap();
+        }
+        t
+    };
+    let mut leaves = Vec::new();
+    for merge in [0.25, 0.0] {
+        let e = engine(merge);
+        let t = insert_batch(&e);
+        e.abort(t).unwrap();
+        let s = e.verify_table(DEFAULT_TABLE).unwrap();
+        assert_eq!(s.records, 0);
+        leaves.push(s.leaf_pages);
+    }
+    assert!(
+        leaves[0] * 10 < leaves[1],
+        "an aborted insert batch should leave few leaves when merging: {} vs {}",
+        leaves[0],
+        leaves[1]
+    );
+
+    let e = Engine::build(EngineConfig {
+        initial_rows: 300,
+        pool_pages: 64,
+        io_model: IoModel::zero(),
+        merge_min_fill: 0.25,
+        row_value_size: 64,
+        aries_ckpt_capture: true,
+        perfect_delta_lsns: true,
+        ..EngineConfig::default()
+    })
+    .unwrap();
+    e.checkpoint().unwrap();
+    let before = e.verify_table(DEFAULT_TABLE).unwrap();
+    let _loser = insert_batch(&e);
+    e.crash();
+    for method in RecoveryMethod::all() {
+        let f = e.fork_crashed().unwrap();
+        f.recover(method).unwrap();
+        let s = f
+            .verify_table(DEFAULT_TABLE)
+            .unwrap_or_else(|err| panic!("{method}: tree corrupt after undo: {err}"));
+        assert_eq!(s.records, 300, "{method}");
+        assert!(s.leaf_pages <= before.leaf_pages + 2, "{method}: {s:?} vs {before:?}");
+    }
+}
+
 #[test]
 fn merge_then_more_work_then_crash() {
     // Interleave shrinking with fresh inserts and updates, crash, recover.
