@@ -119,11 +119,8 @@ fn undo_chain(
             }
         };
         debug_assert_eq!(t, txn);
-        // The compensation is an ordinary write of the logical inverse:
-        // prepare re-locates the key (it may have moved since it was
-        // logged) and stages any room a re-grown value needs, the CLR is
-        // logged at the prepared page, and apply installs it under the
-        // prepare's latches.
+        // Prepare re-locates the key (it may have moved since it was
+        // logged) and stages any room a re-grown value needs.
         let op = dc.prepare_op(table, key, inverse_intent(&action))?;
         let clr = tc.log_clr(txn, table, key, op.pid, prev_lsn, action);
         dc.apply(op, &clr)?;

@@ -905,8 +905,8 @@ fn remote_transport_drop_before_abort_is_a_typed_error_not_a_panic() {
     remote.apply(op, &rec).unwrap();
     transport.disconnect();
 
-    // Undo's exclusive table latch is the first crossing the abort makes:
-    // a typed transport error, not a panic on the caller's thread.
+    // The first compensation's prepare is the first crossing the abort
+    // makes: a typed transport error, not a panic on the caller's thread.
     let head = tc.last_lsn_of(t1).unwrap();
     match rollback_txn(&tc, remote.as_ref(), t1, head, &mut UndoStats::default()) {
         Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
